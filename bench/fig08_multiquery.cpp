@@ -10,7 +10,8 @@
 // extension). x-axis: batch size. Expected shape: batched wall-clock stays
 // near-flat in the model-training term (3 primitive models total) while
 // sequential grows linearly (3 models per complaint); the models_trained
-// counters report exactly that sharing.
+// counters report exactly that sharing. Every timed call runs with the fit
+// cache off, so each batch and each complaint trains its models cold.
 //
 // The Parallel sweep fixes the batch at the maximum size and sweeps the
 // per-call worker count over {1, 2, 4, 8} (REPTILE_FIG8_MAX_THREADS caps
@@ -155,13 +156,20 @@ void VerifyIdenticalAcrossThreads(int64_t batch_size, int max_threads) {
                static_cast<long long>(batch_size), max_threads);
 }
 
+// The timed loops bypass the process-shared fit cache: the verify pass
+// warms it, and a warm cache would hide the training term that batching
+// shares (every curve would report models_trained = 0).
+BatchOptions ColdFits(int threads) {
+  return BatchOptions().Threads(threads).Model(ModelSpec().FitCache(false));
+}
+
 void BM_MultiQuery_Batched(benchmark::State& state) {
   Session& session = SharedSession();
   std::vector<ComplaintSpec> complaints = MakeComplaints(state.range(0));
   int64_t models = 0;
   for (auto _ : state) {
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(1));
+    Result<BatchExploreResponse> batch =
+        session.RecommendAll(std::span<const ComplaintSpec>(complaints), ColdFits(1));
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;
@@ -179,7 +187,7 @@ void BM_MultiQuery_Sequential(benchmark::State& state) {
   for (auto _ : state) {
     int64_t before = session.models_trained();
     for (const ComplaintSpec& complaint : complaints) {
-      Result<ExploreResponse> response = session.Recommend(complaint, BatchOptions().Threads(1));
+      Result<ExploreResponse> response = session.Recommend(complaint, ColdFits(1));
       if (!response.ok()) {
         state.SkipWithError(response.status().ToString().c_str());
         return;
@@ -200,8 +208,8 @@ double SequentialBaselineSeconds(int64_t batch_size) {
   // Warm the drill-down caches, then take the best of three.
   double best = 0.0;
   for (int rep = 0; rep < 4; ++rep) {
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(1));
+    Result<BatchExploreResponse> batch =
+        session.RecommendAll(std::span<const ComplaintSpec>(complaints), ColdFits(1));
     if (!batch.ok()) return 0.0;
     if (rep == 0) continue;
     if (best == 0.0 || batch->wall_seconds < best) best = batch->wall_seconds;
@@ -222,8 +230,8 @@ void BM_MultiQuery_Parallel(benchmark::State& state) {
   double wall = 0.0;
   int64_t iters = 0;
   for (auto _ : state) {
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(threads));
+    Result<BatchExploreResponse> batch =
+        session.RecommendAll(std::span<const ComplaintSpec>(complaints), ColdFits(threads));
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;

@@ -6,7 +6,7 @@
 # the library and tests again under ThreadSanitizer and re-run the suite, so
 # every PR exercises the parallel engine and server paths under race
 # detection, and once more under Address+UBSan focused on the byte-level
-# snapshot/codec suite. Future PRs must keep all stages green. Set
+# snapshot/codec suites and the model kernels. Future PRs must keep all stages green. Set
 # REPTILE_SKIP_TSAN=1 to skip the TSan pass (e.g. on toolchains without
 # libtsan); REPTILE_SKIP_ASAN=1 likewise for the ASan pass;
 # REPTILE_SKIP_SMOKE=1 skips the server smoke (e.g. no curl, no loopback).
@@ -399,13 +399,18 @@ if [[ "${REPTILE_SKIP_ASAN:-0}" != "1" ]]; then
   # container/codec round trips and corruption sweeps, the LRU cache, the
   # CSV chunk-split framing, and the observability primitives (the renderers
   # build Prometheus/JSON text by hand) — the places where an off-by-one
-  # reads out of bounds instead of racing.
+  # reads out of bounds instead of racing. Also the model kernels, which run
+  # on raw offsets into flat buffers: the EM's per-fit cluster table and
+  # in-place E-step, the table-based cluster operators, the in-place
+  # factorised left/right multiplications and the pointer-based LU core
+  # (MultiLevel, BackendEquivalence, ClusterOps, ClusterIterator, DeepForest,
+  # EmMonotonicity, Solve).
   cmake -B "$ASAN_BUILD_DIR" -S . -DREPTILE_ASAN=ON \
     -DREPTILE_BUILD_BENCHMARKS=OFF -DREPTILE_BUILD_EXAMPLES=OFF "$@"
   cmake --build "$ASAN_BUILD_DIR" -j
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'Snapshot|LruByteCache|CsvStream|Obs'
+      -R 'Snapshot|LruByteCache|CsvStream|Obs|MultiLevel|BackendEquivalence|ClusterOps|ClusterIterator|DeepForest|EmMonotonicity|Solve'
 fi
 
 if [[ "${REPTILE_SKIP_TSAN:-0}" != "1" ]]; then

@@ -1,5 +1,6 @@
 #include "api/dataset_snapshot.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -249,6 +250,13 @@ Result<DatasetHandle> LoadPreparedDataset(const std::string& path) {
           static_cast<int>(c), std::move(dict).value(), std::move(codes)));
     } else {
       std::vector<double> values = col.VecF64();
+      // The same contract as CSV ingest: a non-finite measure is a parse
+      // error, never a value the models silently train on.
+      for (size_t row = 0; row < values.size() && col.status().ok(); ++row) {
+        if (!std::isfinite(values[row])) {
+          col.Fail("non-finite measure at row " + std::to_string(row));
+        }
+      }
       if (!col.status().ok()) return col.status();
       REPTILE_RETURN_IF_ERROR(table.SetMeasureColumnData(static_cast<int>(c),
                                                          std::move(values)));

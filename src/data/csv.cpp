@@ -1,5 +1,6 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -141,10 +142,13 @@ bool CsvStreamParser::ProcessDataRow(const std::string& line) {
       char* end = nullptr;
       double value = std::strtod(fields[f].c_str(), &end);
       while (*end == ' ' || *end == '\t') ++end;  // permit trailing padding
-      if (end == fields[f].c_str() || *end != '\0') {
+      // strtod accepts "nan", "inf" and overflowing literals such as
+      // "1e999"; a non-finite measure would reach the model as a silently
+      // meaningless answer, so it is rejected here like any other bad field.
+      if (end == fields[f].c_str() || *end != '\0' || !std::isfinite(value)) {
         return Fail(Status::ParseError(origin_ + " row " + std::to_string(row_number_) +
                                        ", column '" + header_[f] + "': cannot parse '" +
-                                       fields[f] + "' as a number"));
+                                       fields[f] + "' as a finite number"));
       }
       table_.SetMeasure(column, value);
     }

@@ -1,5 +1,7 @@
 #include "fmatrix/cluster_ops.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace reptile {
@@ -97,11 +99,6 @@ struct ClusterColumns {
   std::vector<int> intra;
   int intra_flat = -1;  // flat index of the intra attribute
 
-  // Per position: column index, flat attr (single-attribute columns only,
-  // -1 for multi), and whether the column is multi-attribute.
-  std::vector<int> column_of;
-  std::vector<int> flat_of;
-  std::vector<char> is_multi;
   // flat attr -> inter positions of single columns on it.
   std::vector<std::vector<int>> inter_on_flat;
   // inter positions of multi columns touched by each flat attr.
@@ -124,9 +121,6 @@ ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int
     } else {
       varies = column.attr == intra;
     }
-    out.column_of.push_back(cols[i]);
-    out.is_multi.push_back(column.is_multi ? 1 : 0);
-    out.flat_of.push_back(column.is_multi ? -1 : fm.FlatAttrIndex(column.attr));
     int pos = static_cast<int>(i);
     if (varies) {
       out.intra.push_back(pos);
@@ -137,18 +131,19 @@ ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int
           out.multi_on_flat[static_cast<size_t>(fm.FlatAttrIndex(attr))].push_back(pos);
         }
       } else {
-        out.inter_on_flat[static_cast<size_t>(out.flat_of.back())].push_back(pos);
+        out.inter_on_flat[static_cast<size_t>(fm.FlatAttrIndex(column.attr))].push_back(pos);
       }
     }
   }
   return out;
 }
 
-// Value of column `cols[pos]` in the current cluster context; for intra
-// columns `child_code` supplies the intra attribute's value.
-double ColumnValueInCluster(const FactorizedMatrix& fm, int column_index,
-                            const std::vector<int32_t>& codes, int intra_flat,
-                            int32_t child_code, std::vector<int32_t>* key_scratch) {
+// Value of column `column_index` in a cluster whose attribute codes are
+// `codes` (flattened order); for intra columns `child_code` supplies the
+// intra attribute's value.
+double ColumnValueInCluster(const FactorizedMatrix& fm, int column_index, const int32_t* codes,
+                            int intra_flat, int32_t child_code,
+                            std::vector<int32_t>* key_scratch) {
   const FeatureColumn& column = fm.column(column_index);
   if (!column.is_multi) {
     int flat = fm.FlatAttrIndex(column.attr);
@@ -163,30 +158,53 @@ double ColumnValueInCluster(const FactorizedMatrix& fm, int column_index,
   return column.ValueForTuple(*key_scratch);
 }
 
+// The intra attribute's level: a cluster's rows are consecutive nodes here.
+const FTree::Level& IntraLevel(const FactorizedMatrix& fm) {
+  const FTree& last_tree = fm.tree(fm.num_trees() - 1);
+  return last_tree.level(last_tree.depth() - 1);
+}
+
+// Intra-column values of a table's rows, re-derived from each cluster's
+// stored codes and the intra level's node values.
+class IntraValues {
+ public:
+  IntraValues(const FactorizedMatrix& fm, const ClusterTable& table)
+      : fm_(&fm),
+        table_(&table),
+        child_level_(&IntraLevel(fm)),
+        intra_flat_(fm.FlatAttrIndex(fm.IntraAttr())) {}
+
+  // Value at position `pos` of the `child`-th row of cluster g.
+  double operator()(int64_t g, int64_t child, int pos) {
+    size_t cluster = static_cast<size_t>(g);
+    int32_t child_code = child_level_->value[table_->child_node_begin[cluster] + child];
+    return ColumnValueInCluster(
+        *fm_, table_->cols[static_cast<size_t>(pos)],
+        table_->codes.data() + cluster * static_cast<size_t>(fm_->num_attrs()), intra_flat_,
+        child_code, &key_scratch_);
+  }
+
+ private:
+  const FactorizedMatrix* fm_;
+  const ClusterTable* table_;
+  const FTree::Level* child_level_;
+  int intra_flat_;
+  std::vector<int32_t> key_scratch_;
+};
+
 }  // namespace
 
 void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols,
-                        const std::vector<double>* r,
                         const std::function<void(const ClusterData&)>& emit) {
   size_t q = cols.size();
   ClusterColumns cc = ClassifyColumns(fm, cols);
-  const FTree& last_tree = fm.tree(fm.num_trees() - 1);
-  const FTree::Level& child_level = last_tree.level(last_tree.depth() - 1);
-
-  std::vector<double> r_prefix;
-  if (r != nullptr) {
-    REPTILE_CHECK_EQ(static_cast<int64_t>(r->size()), fm.num_rows());
-    r_prefix.resize(r->size() + 1, 0.0);
-    for (size_t i = 0; i < r->size(); ++i) r_prefix[i + 1] = r_prefix[i] + (*r)[i];
-  }
+  const FTree::Level& child_level = IntraLevel(fm);
 
   Matrix gram(q, q);
-  std::vector<double> ztr(q, 0.0);
   std::vector<double> values(q, 0.0);  // inter values for this cluster
   std::vector<double> child_values(cc.intra.size(), 0.0);
   std::vector<double> s1(cc.intra.size(), 0.0);
   Matrix s2(cc.intra.size(), cc.intra.size());
-  std::vector<double> rx(cc.intra.size(), 0.0);
   std::vector<int32_t> key_scratch;
   std::vector<int> changed_positions;
   std::vector<char> changed_flag(q, 0);
@@ -215,9 +233,9 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
       }
     }
     for (int pos : changed_positions) {
-      values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-          fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-          &key_scratch);
+      values[static_cast<size_t>(pos)] =
+          ColumnValueInCluster(fm, cols[static_cast<size_t>(pos)], it.codes().data(),
+                               cc.intra_flat, 0, &key_scratch);
       changed_flag[static_cast<size_t>(pos)] = 1;
     }
 
@@ -225,23 +243,18 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
     // set is new in every cluster). ---
     std::fill(s1.begin(), s1.end(), 0.0);
     std::fill(s2.mutable_data().begin(), s2.mutable_data().end(), 0.0);
-    std::fill(rx.begin(), rx.end(), 0.0);
     for (int64_t child = 0; child < n_c; ++child) {
       int32_t child_code = child_level.value[it.child_node_begin() + child];
       for (size_t i = 0; i < cc.intra.size(); ++i) {
         child_values[i] =
-            ColumnValueInCluster(fm, cc.column_of[static_cast<size_t>(cc.intra[i])],
-                                 it.codes(), cc.intra_flat, child_code, &key_scratch);
+            ColumnValueInCluster(fm, cols[static_cast<size_t>(cc.intra[i])], it.codes().data(),
+                                 cc.intra_flat, child_code, &key_scratch);
       }
       for (size_t i = 0; i < cc.intra.size(); ++i) {
         s1[i] += child_values[i];
         for (size_t j = i; j < cc.intra.size(); ++j) {
           s2(i, j) += child_values[i] * child_values[j];
         }
-      }
-      if (r != nullptr) {
-        double rv = (*r)[static_cast<size_t>(it.row_begin() + child)];
-        for (size_t i = 0; i < cc.intra.size(); ++i) rx[i] += child_values[i] * rv;
       }
     }
 
@@ -291,130 +304,104 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
     data.cluster = it.cluster();
     data.row_begin = it.row_begin();
     data.size = n_c;
+    data.child_node_begin = it.child_node_begin();
     data.gram = &gram;
-    if (r != nullptr) {
-      double r_sum = r_prefix[static_cast<size_t>(it.row_begin() + n_c)] -
-                     r_prefix[static_cast<size_t>(it.row_begin())];
-      for (int pos : cc.inter) ztr[pos] = values[static_cast<size_t>(pos)] * r_sum;
-      for (size_t i = 0; i < cc.intra.size(); ++i) ztr[cc.intra[i]] = rx[i];
-      data.ztr = &ztr;
-    }
+    data.values = &values;
+    data.codes = &it.codes();
     emit(data);
     n_prev = n_c_d;
     first = false;
   }
 }
 
-void ForEachClusterLeft(const FactorizedMatrix& fm, const std::vector<int>& cols,
-                        const std::vector<double>& r,
-                        const std::function<void(const ClusterData&)>& emit) {
-  REPTILE_CHECK_EQ(static_cast<int64_t>(r.size()), fm.num_rows());
+ClusterTable BuildClusterTable(const FactorizedMatrix& fm, const std::vector<int>& cols) {
   ClusterColumns cc = ClassifyColumns(fm, cols);
-  const FTree& last_tree = fm.tree(fm.num_trees() - 1);
-  const FTree::Level& child_level = last_tree.level(last_tree.depth() - 1);
-  std::vector<double> r_prefix(r.size() + 1, 0.0);
-  for (size_t i = 0; i < r.size(); ++i) r_prefix[i + 1] = r_prefix[i] + r[i];
-
-  std::vector<double> values(cols.size(), 0.0);
-  std::vector<double> ztr(cols.size(), 0.0);
-  std::vector<int32_t> key_scratch;
-  bool first = true;
-
-  ClusterIterator it(fm);
-  for (bool ok = it.Start(); ok; ok = it.Next()) {
-    if (first) {
-      for (int pos : cc.inter) {
-        values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-            fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-            &key_scratch);
-      }
-      first = false;
-    } else {
-      for (int flat : it.changed_attrs()) {
-        for (int pos : cc.inter_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
-        }
-        for (int pos : cc.multi_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
-        }
-      }
+  ClusterTable table;
+  table.cols = cols;
+  table.inter = std::move(cc.inter);
+  table.intra = std::move(cc.intra);
+  size_t clusters = static_cast<size_t>(fm.num_clusters());
+  size_t q = cols.size();
+  bool keep_codes = !table.intra.empty();
+  table.row_begin.reserve(clusters + 1);
+  table.gram.reserve(clusters * q * q);
+  table.inter_values.reserve(clusters * table.inter.size());
+  if (keep_codes) {
+    table.child_node_begin.reserve(clusters);
+    table.codes.reserve(clusters * static_cast<size_t>(fm.num_attrs()));
+  }
+  ForEachClusterGram(fm, cols, [&](const ClusterData& data) {
+    table.row_begin.push_back(data.row_begin);
+    table.gram.insert(table.gram.end(), data.gram->data().begin(), data.gram->data().end());
+    for (int pos : table.inter) {
+      table.inter_values.push_back((*data.values)[static_cast<size_t>(pos)]);
     }
-    int64_t n_c = it.num_children();
-    double r_sum = r_prefix[static_cast<size_t>(it.row_begin() + n_c)] -
-                   r_prefix[static_cast<size_t>(it.row_begin())];
-    for (int pos : cc.inter) ztr[pos] = values[static_cast<size_t>(pos)] * r_sum;
-    for (int pos : cc.intra) ztr[pos] = 0.0;
-    for (int64_t child = 0; child < n_c; ++child) {
-      int32_t child_code = child_level.value[it.child_node_begin() + child];
-      double rv = r[static_cast<size_t>(it.row_begin() + child)];
-      for (int pos : cc.intra) {
-        ztr[pos] += ColumnValueInCluster(fm, cc.column_of[static_cast<size_t>(pos)],
-                                         it.codes(), cc.intra_flat, child_code,
-                                         &key_scratch) *
-                    rv;
-      }
+    if (keep_codes) {
+      table.child_node_begin.push_back(data.child_node_begin);
+      table.codes.insert(table.codes.end(), data.codes->begin(), data.codes->end());
     }
-    ClusterData data;
-    data.cluster = it.cluster();
-    data.row_begin = it.row_begin();
-    data.size = n_c;
-    data.ztr = &ztr;
-    emit(data);
+  });
+  table.row_begin.push_back(fm.num_rows());
+  return table;
+}
+
+void ClusterLeftMultiply(const FactorizedMatrix& fm, const ClusterTable& table,
+                         const std::vector<double>& r, const std::vector<double>& r_prefix,
+                         Matrix* ztr) {
+  int64_t clusters = table.num_clusters();
+  REPTILE_CHECK_EQ(static_cast<int64_t>(ztr->rows()), clusters);
+  REPTILE_CHECK_EQ(ztr->cols(), table.q());
+  if (!table.inter.empty()) {
+    REPTILE_CHECK_EQ(static_cast<int64_t>(r_prefix.size()), fm.num_rows() + 1);
+  }
+  if (!table.intra.empty()) {
+    REPTILE_CHECK_EQ(static_cast<int64_t>(r.size()), fm.num_rows());
+  }
+  IntraValues intra_value(fm, table);
+  for (int64_t g = 0; g < clusters; ++g) {
+    size_t begin = static_cast<size_t>(table.row_begin[static_cast<size_t>(g)]);
+    size_t end = static_cast<size_t>(table.row_begin[static_cast<size_t>(g) + 1]);
+    double* out = ztr->RowPtr(static_cast<size_t>(g));
+    if (!table.inter.empty()) {
+      double r_sum = r_prefix[end] - r_prefix[begin];
+      const double* values = table.InterValues(g);
+      for (size_t a = 0; a < table.inter.size(); ++a) out[table.inter[a]] = values[a] * r_sum;
+    }
+    for (int pos : table.intra) {
+      double acc = 0.0;
+      for (size_t row = begin; row < end; ++row) {
+        acc += intra_value(g, static_cast<int64_t>(row - begin), pos) * r[row];
+      }
+      out[pos] = acc;
+    }
   }
 }
 
-void ClusterRightMultiply(const FactorizedMatrix& fm, const std::vector<int>& cols,
-                          const Matrix& b, std::vector<double>* out) {
-  REPTILE_CHECK_EQ(static_cast<int64_t>(b.rows()), fm.num_clusters());
-  REPTILE_CHECK_EQ(b.cols(), cols.size());
+void ClusterRightMultiply(const FactorizedMatrix& fm, const ClusterTable& table, const Matrix& b,
+                          std::vector<double>* out) {
+  int64_t clusters = table.num_clusters();
+  REPTILE_CHECK_EQ(static_cast<int64_t>(b.rows()), clusters);
+  REPTILE_CHECK_EQ(b.cols(), table.q());
   REPTILE_CHECK_EQ(static_cast<int64_t>(out->size()), fm.num_rows());
-  ClusterColumns cc = ClassifyColumns(fm, cols);
-  const FTree& last_tree = fm.tree(fm.num_trees() - 1);
-  const FTree::Level& child_level = last_tree.level(last_tree.depth() - 1);
-  std::vector<int32_t> key_scratch;
-  std::vector<double> values(cols.size(), 0.0);
-  bool first = true;
-
-  ClusterIterator it(fm);
-  for (bool ok = it.Start(); ok; ok = it.Next()) {
-    // Inter values: refresh only what changed between adjacent clusters.
-    if (first) {
-      for (int pos : cc.inter) {
-        values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-            fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-            &key_scratch);
-      }
-      first = false;
-    } else {
-      for (int flat : it.changed_attrs()) {
-        for (int pos : cc.inter_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
-        }
-        for (int pos : cc.multi_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
-        }
-      }
-    }
-    const double* b_row = b.RowPtr(static_cast<size_t>(it.cluster()));
+  IntraValues intra_value(fm, table);
+  for (int64_t g = 0; g < clusters; ++g) {
+    size_t begin = static_cast<size_t>(table.row_begin[static_cast<size_t>(g)]);
+    size_t end = static_cast<size_t>(table.row_begin[static_cast<size_t>(g) + 1]);
+    const double* b_row = b.RowPtr(static_cast<size_t>(g));
+    const double* values = table.InterValues(g);
     double base = 0.0;
-    for (int pos : cc.inter) base += values[static_cast<size_t>(pos)] * b_row[pos];
-    for (int64_t child = 0; child < it.num_children(); ++child) {
-      int32_t child_code = child_level.value[it.child_node_begin() + child];
+    for (size_t a = 0; a < table.inter.size(); ++a) base += values[a] * b_row[table.inter[a]];
+    double* dst = out->data() + begin;
+    if (table.intra.empty()) {
+      std::fill(dst, dst + (end - begin), base);
+      continue;
+    }
+    for (size_t child = 0; child < end - begin; ++child) {
       double value = base;
-      for (int pos : cc.intra) {
-        value += ColumnValueInCluster(fm, cols[static_cast<size_t>(pos)], it.codes(),
-                                      cc.intra_flat, child_code, &key_scratch) *
-                 b_row[pos];
+      for (int pos : table.intra) {
+        value += intra_value(g, static_cast<int64_t>(child), pos) * b_row[pos];
       }
-      (*out)[static_cast<size_t>(it.row_begin() + child)] = value;
+      dst[child] = value;
     }
   }
 }

@@ -66,35 +66,68 @@ class ClusterIterator {
   void RefreshTreeCodes(int tree, int from_level);
 };
 
-/// Per-cluster outputs delivered to the visitor of ForEachCluster.
+/// Per-cluster outputs delivered to the visitor of ForEachClusterGram.
 struct ClusterData {
   int64_t cluster = 0;
   int64_t row_begin = 0;
   int64_t size = 0;
-  const Matrix* gram = nullptr;             // q x q: Z_i^T Z_i over `cols`
-  const std::vector<double>* ztr = nullptr; // q: Z_i^T r_i (only when r given)
+  int64_t child_node_begin = 0;               // first row's node at the intra level
+  const Matrix* gram = nullptr;               // q x q: Z_i^T Z_i over `cols`
+  const std::vector<double>* values = nullptr;  // q: inter columns' values (intra unused)
+  const std::vector<int32_t>* codes = nullptr;  // ClusterIterator::codes()
 };
 
-/// Streams every cluster's gram matrix over the selected columns — and, when
-/// `r` (length n) is provided, the per-cluster product Z_i^T r_i — to `emit`.
-/// This fuses Algorithm 5 (cluster gram) and Algorithm 6 (cluster left
-/// multiplication): the EM expectation step consumes both per cluster.
+/// Streams every cluster's gram matrix over the selected columns to `emit`
+/// (Algorithm 5): only the gram cells an adjacent cluster's changed
+/// attributes touch are recomputed; the rest are rescaled by the size ratio.
 void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols,
-                        const std::vector<double>* r,
                         const std::function<void(const ClusterData&)>& emit);
 
-/// Per-cluster left multiplication only (Algorithm 6): streams
-/// Z_i^T r_i per cluster without computing the gram, for callers that need
-/// just the projections.
-void ForEachClusterLeft(const FactorizedMatrix& fm, const std::vector<int>& cols,
-                        const std::vector<double>& r,
-                        const std::function<void(const ClusterData&)>& emit);
+/// Everything about the clusters of Z = X(cols) that stays fixed across EM
+/// iterations, built once per fit and read in place by every iteration
+/// (Appendix D: X_i^T X_i is precomputed, not re-derived per iteration).
+/// Positions index `cols`; a position is inter when its column is constant
+/// within every cluster and intra when it varies with the intra attribute.
+struct ClusterTable {
+  std::vector<int> cols;
+  std::vector<int> inter;
+  std::vector<int> intra;
+  std::vector<int64_t> row_begin;     // G + 1: cluster g spans [row_begin[g], row_begin[g+1])
+  std::vector<double> gram;           // G x q x q, row-major: Z_g^T Z_g
+  std::vector<double> inter_values;   // G x |inter|: the inter columns' values, in `inter` order
+  // Present only when `intra` is non-empty (factorised tables): each
+  // cluster's first node at the intra level and its attribute codes
+  // (G x num_attrs), from which intra values are re-derived per row rather
+  // than stored per row.
+  std::vector<int64_t> child_node_begin;
+  std::vector<int32_t> codes;
 
-/// Per-cluster right multiplication (Algorithm 7): writes
-/// out[row] = X_i(cols) · b_i for every row, where b row i of `b` (G x q)
-/// holds cluster i's coefficients. `out` must have length n.
-void ClusterRightMultiply(const FactorizedMatrix& fm, const std::vector<int>& cols,
-                          const Matrix& b, std::vector<double>* out);
+  size_t q() const { return cols.size(); }
+  int64_t num_clusters() const { return static_cast<int64_t>(row_begin.size()) - 1; }
+  const double* Gram(int64_t g) const { return gram.data() + static_cast<size_t>(g) * q() * q(); }
+  const double* InterValues(int64_t g) const {
+    return inter_values.data() + static_cast<size_t>(g) * inter.size();
+  }
+};
+
+/// Builds the table from ForEachClusterGram's stream, so its grams carry
+/// Algorithm 5's exact bits.
+ClusterTable BuildClusterTable(const FactorizedMatrix& fm, const std::vector<int>& cols);
+
+/// Per-cluster left multiplication (Algorithm 6): row g of `ztr` (G x q)
+/// becomes Z_g^T r_g. Inter positions read value x (prefix[end] -
+/// prefix[begin]) off `r_prefix` (RunningPrefix of r, length n + 1); intra
+/// positions sum value x r over the cluster's rows in order, so `r` may be
+/// empty when the table has no intra position.
+void ClusterLeftMultiply(const FactorizedMatrix& fm, const ClusterTable& table,
+                         const std::vector<double>& r, const std::vector<double>& r_prefix,
+                         Matrix* ztr);
+
+/// Per-cluster right multiplication (Algorithm 7): out[row] = Z_g(row) · b_g
+/// for every row, where row g of `b` (G x q) holds cluster g's
+/// coefficients. `out` must have length n.
+void ClusterRightMultiply(const FactorizedMatrix& fm, const ClusterTable& table, const Matrix& b,
+                          std::vector<double>* out);
 
 }  // namespace reptile
 

@@ -71,6 +71,13 @@ void AccumulateMultiColumns(const FactorizedMatrix& fm, const std::vector<double
 
 }  // namespace
 
+void RunningPrefix(const std::vector<double>& r, std::vector<double>* prefix) {
+  prefix->resize(r.size() + 1);
+  double* p = prefix->data();
+  p[0] = 0.0;
+  for (size_t i = 0; i < r.size(); ++i) p[i + 1] = p[i] + r[i];
+}
+
 Matrix FactorizedLeftMultiply(const FactorizedMatrix& fm, const Matrix& a) {
   REPTILE_CHECK_EQ(static_cast<int64_t>(a.cols()), fm.num_rows());
   Matrix out(a.rows(), static_cast<size_t>(fm.num_cols()));
@@ -90,13 +97,19 @@ Matrix FactorizedLeftMultiply(const FactorizedMatrix& fm, const Matrix& a) {
 
 std::vector<double> FactorizedVecLeftMultiply(const FactorizedMatrix& fm,
                                               const std::vector<double>& r) {
-  REPTILE_CHECK_EQ(static_cast<int64_t>(r.size()), fm.num_rows());
-  std::vector<double> prefix(r.size() + 1, 0.0);
-  for (size_t i = 0; i < r.size(); ++i) prefix[i + 1] = prefix[i] + r[i];
-  std::vector<double> out(fm.num_cols(), 0.0);
-  AccumulateSingleColumns(fm, prefix, out.data());
-  AccumulateMultiColumns(fm, r, out.data());
+  std::vector<double> prefix;
+  std::vector<double> out;
+  FactorizedVecLeftMultiply(fm, r, &prefix, &out);
   return out;
+}
+
+void FactorizedVecLeftMultiply(const FactorizedMatrix& fm, const std::vector<double>& r,
+                               std::vector<double>* prefix, std::vector<double>* out) {
+  REPTILE_CHECK_EQ(static_cast<int64_t>(r.size()), fm.num_rows());
+  RunningPrefix(r, prefix);
+  out->assign(static_cast<size_t>(fm.num_cols()), 0.0);
+  AccumulateSingleColumns(fm, *prefix, out->data());
+  AccumulateMultiColumns(fm, r, out->data());
 }
 
 }  // namespace reptile

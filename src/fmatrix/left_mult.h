@@ -17,13 +17,24 @@
 
 namespace reptile {
 
+/// Running prefix of r: prefix[i] = r[0] + ... + r[i-1] (resized to n + 1),
+/// summed in row order. Its differences are the block sums the factorised
+/// left multiplications read.
+void RunningPrefix(const std::vector<double>& r, std::vector<double>* prefix);
+
 /// Computes A · X, returning a dense q x m matrix.
 Matrix FactorizedLeftMultiply(const FactorizedMatrix& fm, const Matrix& a);
 
 /// Computes X^T r for a length-n vector r (one row of the general case),
-/// returning an m-vector. This is the EM inner-loop form.
+/// returning an m-vector.
 std::vector<double> FactorizedVecLeftMultiply(const FactorizedMatrix& fm,
                                               const std::vector<double>& r);
+
+/// In-place form, the EM inner loop's: writes X^T r into `out` (resized to
+/// m) and uses `prefix` (resized to n + 1) as scratch, so a caller that
+/// keeps both buffers allocates nothing per call.
+void FactorizedVecLeftMultiply(const FactorizedMatrix& fm, const std::vector<double>& r,
+                               std::vector<double>* prefix, std::vector<double>* out);
 
 }  // namespace reptile
 

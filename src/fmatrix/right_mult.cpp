@@ -140,16 +140,22 @@ Matrix FactorizedRightMultiply(const FactorizedMatrix& fm, const Matrix& b) {
 
 std::vector<double> FactorizedVecRightMultiply(const FactorizedMatrix& fm,
                                                const std::vector<double>& beta) {
+  std::vector<double> out;
+  FactorizedVecRightMultiply(fm, beta, &out);
+  return out;
+}
+
+void FactorizedVecRightMultiply(const FactorizedMatrix& fm, const std::vector<double>& beta,
+                                std::vector<double>* out) {
   Matrix b = Matrix::ColumnVector(beta);
-  std::vector<double> out(static_cast<size_t>(fm.num_rows()), 0.0);
+  out->resize(static_cast<size_t>(fm.num_rows()));
   if (fm.AllSingleAttribute()) {
-    RightMultiplyBlocks(fm, b, out.data());
-    return out;
+    RightMultiplyBlocks(fm, b, out->data());
+    return;
   }
   RightMultiplyImpl(fm, b, [&](int64_t row, const std::vector<double>& acc) {
-    out[static_cast<size_t>(row)] = acc[0];
+    (*out)[static_cast<size_t>(row)] = acc[0];
   });
-  return out;
 }
 
 }  // namespace reptile

@@ -19,9 +19,13 @@ namespace reptile {
 Matrix FactorizedRightMultiply(const FactorizedMatrix& fm, const Matrix& b);
 
 /// Computes X · beta for a coefficient vector (p = 1), returning an n-vector.
-/// This is the EM inner-loop form.
 std::vector<double> FactorizedVecRightMultiply(const FactorizedMatrix& fm,
                                                const std::vector<double>& beta);
+
+/// In-place form, the EM inner loop's: writes X · beta into `out` (resized
+/// to n), reusing the caller's buffer.
+void FactorizedVecRightMultiply(const FactorizedMatrix& fm, const std::vector<double>& beta,
+                                std::vector<double>* out);
 
 }  // namespace reptile
 

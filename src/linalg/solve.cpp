@@ -5,18 +5,17 @@
 namespace reptile {
 namespace {
 
-// LU decomposition with partial pivoting, in place over a copy.
-// Returns false when a pivot underflows (singular matrix).
-bool LuDecompose(Matrix* a, std::vector<size_t>* perm, int* sign) {
-  size_t n = a->rows();
-  perm->resize(n);
-  for (size_t i = 0; i < n; ++i) (*perm)[i] = i;
+// LU decomposition with partial pivoting, in place over the row-major n x n
+// matrix `a`. Returns false when a pivot underflows (singular matrix). Every
+// solver in this file runs on this one core.
+bool LuDecompose(double* a, size_t n, size_t* perm, int* sign) {
+  for (size_t i = 0; i < n; ++i) perm[i] = i;
   *sign = 1;
   for (size_t col = 0; col < n; ++col) {
     size_t pivot = col;
-    double best = std::fabs((*a)(col, col));
+    double best = std::fabs(a[col * n + col]);
     for (size_t r = col + 1; r < n; ++r) {
-      double v = std::fabs((*a)(r, col));
+      double v = std::fabs(a[r * n + col]);
       if (v > best) {
         best = v;
         pivot = r;
@@ -24,19 +23,55 @@ bool LuDecompose(Matrix* a, std::vector<size_t>* perm, int* sign) {
     }
     if (best < 1e-300) return false;
     if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) std::swap((*a)(pivot, c), (*a)(col, c));
-      std::swap((*perm)[pivot], (*perm)[col]);
+      for (size_t c = 0; c < n; ++c) std::swap(a[pivot * n + c], a[col * n + c]);
+      std::swap(perm[pivot], perm[col]);
       *sign = -*sign;
     }
-    double inv_pivot = 1.0 / (*a)(col, col);
+    double inv_pivot = 1.0 / a[col * n + col];
     for (size_t r = col + 1; r < n; ++r) {
-      double factor = (*a)(r, col) * inv_pivot;
-      (*a)(r, col) = factor;
+      double factor = a[r * n + col] * inv_pivot;
+      a[r * n + col] = factor;
       if (factor == 0.0) continue;
       for (size_t c = col + 1; c < n; ++c) {
-        (*a)(r, c) -= factor * (*a)(col, c);
+        a[r * n + c] -= factor * a[col * n + c];
       }
     }
+  }
+  return true;
+}
+
+// Forward then back substitution for one right-hand-side column: `rhs(i)`
+// reads row i of the unpermuted right-hand side, `y` is n scratch, and x is
+// written at x[i * stride].
+template <typename Rhs>
+void LuSubstitute(const double* lu, const size_t* perm, size_t n, const Rhs& rhs, double* y,
+                  double* x, size_t stride) {
+  for (size_t i = 0; i < n; ++i) {
+    double sum = rhs(perm[i]);
+    for (size_t j = 0; j < i; ++j) sum -= lu[i * n + j] * y[j];
+    y[i] = sum;
+  }
+  for (size_t ii = n; ii > 0; --ii) {
+    size_t i = ii - 1;
+    double sum = y[i];
+    for (size_t j = i + 1; j < n; ++j) sum -= lu[i * n + j] * x[j * stride];
+    x[i * stride] = sum / lu[i * n + i];
+  }
+}
+
+// Inverse of the row-major n x n matrix `a` into `out` (n x n); false when a
+// pivot underflows (singular).
+bool InverseInto(const double* a, size_t n, double* out, LuWorkspace* ws) {
+  ws->lu.assign(a, a + n * n);
+  ws->perm.resize(n);
+  ws->y.resize(n);
+  int sign = 0;
+  if (!LuDecompose(ws->lu.data(), n, ws->perm.data(), &sign)) return false;
+  // Right-hand side = the identity, read in place rather than built.
+  for (size_t col = 0; col < n; ++col) {
+    LuSubstitute(ws->lu.data(), ws->perm.data(), n,
+                 [col](size_t row) { return row == col ? 1.0 : 0.0; }, ws->y.data(), out + col,
+                 n);
   }
   return true;
 }
@@ -48,46 +83,50 @@ std::optional<Matrix> SolveLinearSystem(const Matrix& a, const Matrix& b) {
   REPTILE_CHECK_EQ(a.rows(), b.rows());
   size_t n = a.rows();
   Matrix lu = a;
-  std::vector<size_t> perm;
+  std::vector<size_t> perm(n);
   int sign = 0;
-  if (!LuDecompose(&lu, &perm, &sign)) return std::nullopt;
+  if (!LuDecompose(lu.mutable_data().data(), n, perm.data(), &sign)) return std::nullopt;
 
   Matrix x(n, b.cols());
+  std::vector<double> y(n);
   for (size_t col = 0; col < b.cols(); ++col) {
-    // Forward substitution with the permuted right-hand side.
-    std::vector<double> y(n);
-    for (size_t i = 0; i < n; ++i) {
-      double sum = b(perm[i], col);
-      for (size_t j = 0; j < i; ++j) sum -= lu(i, j) * y[j];
-      y[i] = sum;
-    }
-    // Back substitution.
-    for (size_t ii = n; ii > 0; --ii) {
-      size_t i = ii - 1;
-      double sum = y[i];
-      for (size_t j = i + 1; j < n; ++j) sum -= lu(i, j) * x(j, col);
-      x(i, col) = sum / lu(i, i);
-    }
+    LuSubstitute(lu.data().data(), perm.data(), n, [&](size_t row) { return b(row, col); },
+                 y.data(), x.mutable_data().data() + col, b.cols());
   }
   return x;
 }
 
 std::optional<Matrix> Inverse(const Matrix& a) {
-  return SolveLinearSystem(a, Matrix::Identity(a.rows()));
+  REPTILE_CHECK_EQ(a.rows(), a.cols());
+  Matrix out(a.rows(), a.rows());
+  LuWorkspace ws;
+  if (!InverseInto(a.data().data(), a.rows(), out.mutable_data().data(), &ws)) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 Matrix InverseSymmetricRidge(const Matrix& a, double initial_ridge) {
   REPTILE_CHECK_EQ(a.rows(), a.cols());
-  std::optional<Matrix> inv = Inverse(a);
+  Matrix out(a.rows(), a.rows());
+  LuWorkspace ws;
+  InverseSymmetricRidgeInto(a.data().data(), a.rows(), initial_ridge,
+                            out.mutable_data().data(), &ws);
+  return out;
+}
+
+void InverseSymmetricRidgeInto(const double* a, size_t n, double initial_ridge, double* out,
+                               LuWorkspace* ws) {
+  if (InverseInto(a, n, out, ws)) return;
   double ridge = initial_ridge;
-  Matrix regularized = a;
-  while (!inv.has_value()) {
-    for (size_t i = 0; i < a.rows(); ++i) regularized(i, i) = a(i, i) + ridge;
-    inv = Inverse(regularized);
+  ws->regularized.assign(a, a + n * n);
+  bool inverted = false;
+  while (!inverted) {
+    for (size_t i = 0; i < n; ++i) ws->regularized[i * n + i] = a[i * n + i] + ridge;
+    inverted = InverseInto(ws->regularized.data(), n, out, ws);
     ridge *= 10.0;
     REPTILE_CHECK_LT(ridge, 1e30) << "InverseSymmetricRidge: non-finite input?";
   }
-  return *inv;
 }
 
 std::optional<Matrix> Cholesky(const Matrix& a) {
@@ -120,9 +159,9 @@ std::optional<double> LogDetSpd(const Matrix& a) {
 std::optional<double> LogAbsDet(const Matrix& a) {
   REPTILE_CHECK_EQ(a.rows(), a.cols());
   Matrix lu = a;
-  std::vector<size_t> perm;
+  std::vector<size_t> perm(a.rows());
   int sign = 0;
-  if (!LuDecompose(&lu, &perm, &sign)) return std::nullopt;
+  if (!LuDecompose(lu.mutable_data().data(), a.rows(), perm.data(), &sign)) return std::nullopt;
   double log_det = 0.0;
   for (size_t i = 0; i < a.rows(); ++i) log_det += std::log(std::fabs(lu(i, i)));
   return log_det;

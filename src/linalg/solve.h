@@ -25,6 +25,21 @@ std::optional<Matrix> Inverse(const Matrix& a);
 /// finite input (the ridge eventually dominates).
 Matrix InverseSymmetricRidge(const Matrix& a, double initial_ridge = 1e-10);
 
+/// Scratch of the LU core, sized on first use and reused after, so a caller
+/// inverting many small systems (one per EM cluster) allocates once.
+struct LuWorkspace {
+  std::vector<double> lu;
+  std::vector<size_t> perm;
+  std::vector<double> y;
+  std::vector<double> regularized;
+};
+
+/// InverseSymmetricRidge over raw row-major n x n storage, writing `out`
+/// (n x n): the same LU core, ridge loop and bits, and no allocation once
+/// `ws` is sized.
+void InverseSymmetricRidgeInto(const double* a, size_t n, double initial_ridge, double* out,
+                               LuWorkspace* ws);
+
 /// Cholesky factor L (lower-triangular, A = L L^T) of a symmetric
 /// positive-definite matrix; std::nullopt when A is not PD.
 std::optional<Matrix> Cholesky(const Matrix& a);

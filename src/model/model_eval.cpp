@@ -1,8 +1,10 @@
 #include "model/model_eval.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "fmatrix/left_mult.h"
 #include "linalg/solve.h"
 
 namespace reptile {
@@ -28,23 +30,30 @@ double MultiLevelLogLikelihood(const EmBackend* backend, const MultiLevelModel& 
   size_t q = model.z_cols.size();
   double sigma2 = std::max(model.sigma2, 1e-12);
 
-  // Fixed-effect residual and its per-cluster squared sums.
-  std::vector<double> fitted = backend->XTimes(model.beta);
-  std::vector<double> r(y.size());
-  for (size_t i = 0; i < y.size(); ++i) r[i] = y[i] - fitted[i];
+  // Fixed-effect residual, its running prefix, and every cluster's
+  // Z_i^T r_i over the fit's cluster table.
+  ClusterTable table = backend->BuildClusterTable();
+  std::vector<double> r;
+  backend->XTimes(model.beta, &r);
+  for (size_t i = 0; i < y.size(); ++i) r[i] = y[i] - r[i];
+  std::vector<double> prefix;
+  RunningPrefix(r, &prefix);
+  Matrix ztr_all(static_cast<size_t>(table.num_clusters()), q);
+  backend->ZtR(table, r, prefix, &ztr_all);
 
   Matrix sigma_inv = InverseSymmetricRidge(model.sigma_b, 1e-10);
+  Matrix ztz(q, q);
   double log_lik = 0.0;
-  int64_t row_offset = 0;
-  backend->ForEachCluster(r, [&](int64_t g, int64_t size, const Matrix& ztz,
-                                 const std::vector<double>& ztr) {
-    (void)g;
+  for (int64_t g = 0; g < table.num_clusters(); ++g) {
+    int64_t begin = table.row_begin[static_cast<size_t>(g)];
+    int64_t size = table.row_begin[static_cast<size_t>(g) + 1] - begin;
     double rr = 0.0;
     for (int64_t i = 0; i < size; ++i) {
-      double v = r[static_cast<size_t>(row_offset + i)];
+      double v = r[static_cast<size_t>(begin + i)];
       rr += v * v;
     }
-    row_offset += size;
+    std::copy(table.Gram(g), table.Gram(g) + q * q, ztz.mutable_data().begin());
+    const double* ztr = ztr_all.RowPtr(static_cast<size_t>(g));
 
     // log det(sigma2 I + Z Sigma Z^T)
     //   = n_i log sigma2 + log det(I_q + Sigma Z^T Z / sigma2).
@@ -63,7 +72,7 @@ double MultiLevelLogLikelihood(const EmBackend* backend, const MultiLevelModel& 
     double quad = (rr - correction) / sigma2;
 
     log_lik += -0.5 * (static_cast<double>(size) * kLog2Pi + log_det + quad);
-  });
+  }
   return log_lik;
 }
 

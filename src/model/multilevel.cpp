@@ -1,5 +1,6 @@
 #include "model/multilevel.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -25,25 +26,28 @@ FactorizedEmBackend::FactorizedEmBackend(const FactorizedMatrix* fm,
 
 Matrix FactorizedEmBackend::Gram() const { return FactorizedGram(*fm_, *agg_); }
 
-std::vector<double> FactorizedEmBackend::XtV(const std::vector<double>& v) const {
-  return FactorizedVecLeftMultiply(*fm_, v);
+ClusterTable FactorizedEmBackend::BuildClusterTable() const {
+  return reptile::BuildClusterTable(*fm_, z_cols_);
 }
 
-std::vector<double> FactorizedEmBackend::XTimes(const std::vector<double>& beta) const {
-  return FactorizedVecRightMultiply(*fm_, beta);
+void FactorizedEmBackend::XtV(const std::vector<double>& v, std::vector<double>* prefix,
+                              std::vector<double>* out) const {
+  FactorizedVecLeftMultiply(*fm_, v, prefix, out);
 }
 
-void FactorizedEmBackend::ForEachCluster(
-    const std::vector<double>& r,
-    const std::function<void(int64_t, int64_t, const Matrix&, const std::vector<double>&)>&
-        emit) const {
-  ForEachClusterGram(*fm_, z_cols_, &r, [&](const ClusterData& data) {
-    emit(data.cluster, data.size, *data.gram, *data.ztr);
-  });
+void FactorizedEmBackend::XTimes(const std::vector<double>& beta,
+                                 std::vector<double>* out) const {
+  FactorizedVecRightMultiply(*fm_, beta, out);
 }
 
-void FactorizedEmBackend::ZTimesB(const Matrix& b, std::vector<double>* out) const {
-  ClusterRightMultiply(*fm_, z_cols_, b, out);
+void FactorizedEmBackend::ZtR(const ClusterTable& table, const std::vector<double>& r,
+                              const std::vector<double>& r_prefix, Matrix* ztr) const {
+  ClusterLeftMultiply(*fm_, table, r, r_prefix, ztr);
+}
+
+void FactorizedEmBackend::ZTimesB(const ClusterTable& table, const Matrix& b,
+                                  std::vector<double>* out) const {
+  ClusterRightMultiply(*fm_, table, b, out);
 }
 
 // ---------- Dense backend ----------
@@ -62,62 +66,71 @@ DenseEmBackend::DenseEmBackend(const Matrix* x, std::vector<int64_t> cluster_beg
 
 Matrix DenseEmBackend::Gram() const { return x_->Transposed().Multiply(*x_); }
 
-std::vector<double> DenseEmBackend::XtV(const std::vector<double>& v) const {
+ClusterTable DenseEmBackend::BuildClusterTable() const {
+  size_t q = z_cols_.size();
+  ClusterTable table;
+  table.cols = z_cols_;
+  for (size_t i = 0; i < q; ++i) table.intra.push_back(static_cast<int>(i));
+  table.row_begin = cluster_begin_;
+  table.gram.assign(static_cast<size_t>(num_clusters()) * q * q, 0.0);
+  for (int64_t g = 0; g < num_clusters(); ++g) {
+    double* ztz = table.gram.data() + static_cast<size_t>(g) * q * q;
+    for (int64_t row = cluster_begin_[g]; row < cluster_begin_[g + 1]; ++row) {
+      const double* xr = x_->RowPtr(static_cast<size_t>(row));
+      for (size_t i = 0; i < q; ++i) {
+        double zi = xr[z_cols_[i]];
+        for (size_t j = i; j < q; ++j) ztz[i * q + j] += zi * xr[z_cols_[j]];
+      }
+    }
+    for (size_t i = 0; i < q; ++i) {
+      for (size_t j = 0; j < i; ++j) ztz[i * q + j] = ztz[j * q + i];
+    }
+  }
+  return table;
+}
+
+void DenseEmBackend::XtV(const std::vector<double>& v, std::vector<double>* /*prefix*/,
+                         std::vector<double>* out) const {
   REPTILE_CHECK_EQ(v.size(), x_->rows());
-  std::vector<double> out(x_->cols(), 0.0);
+  out->assign(x_->cols(), 0.0);
   for (size_t r = 0; r < x_->rows(); ++r) {
     const double* row = x_->RowPtr(r);
     double vr = v[r];
-    for (size_t c = 0; c < x_->cols(); ++c) out[c] += row[c] * vr;
+    for (size_t c = 0; c < x_->cols(); ++c) (*out)[c] += row[c] * vr;
   }
-  return out;
 }
 
-std::vector<double> DenseEmBackend::XTimes(const std::vector<double>& beta) const {
+void DenseEmBackend::XTimes(const std::vector<double>& beta, std::vector<double>* out) const {
   REPTILE_CHECK_EQ(beta.size(), x_->cols());
-  std::vector<double> out(x_->rows(), 0.0);
+  out->resize(x_->rows());
   for (size_t r = 0; r < x_->rows(); ++r) {
     const double* row = x_->RowPtr(r);
     double acc = 0.0;
     for (size_t c = 0; c < x_->cols(); ++c) acc += row[c] * beta[c];
-    out[r] = acc;
+    (*out)[r] = acc;
   }
-  return out;
 }
 
-void DenseEmBackend::ForEachCluster(
-    const std::vector<double>& r,
-    const std::function<void(int64_t, int64_t, const Matrix&, const std::vector<double>&)>&
-        emit) const {
+void DenseEmBackend::ZtR(const ClusterTable& /*table*/, const std::vector<double>& r,
+                         const std::vector<double>& /*r_prefix*/, Matrix* ztr) const {
+  REPTILE_CHECK_EQ(r.size(), x_->rows());
   size_t q = z_cols_.size();
-  Matrix ztz(q, q);
-  std::vector<double> ztr(q, 0.0);
-  for (int64_t g = 0; g + 1 < static_cast<int64_t>(cluster_begin_.size()); ++g) {
-    int64_t begin = cluster_begin_[g];
-    int64_t end = cluster_begin_[g + 1];
-    std::fill(ztz.mutable_data().begin(), ztz.mutable_data().end(), 0.0);
-    std::fill(ztr.begin(), ztr.end(), 0.0);
-    for (int64_t row = begin; row < end; ++row) {
+  std::fill(ztr->mutable_data().begin(), ztr->mutable_data().end(), 0.0);
+  for (int64_t g = 0; g < num_clusters(); ++g) {
+    double* out = ztr->RowPtr(static_cast<size_t>(g));
+    for (int64_t row = cluster_begin_[g]; row < cluster_begin_[g + 1]; ++row) {
       const double* xr = x_->RowPtr(static_cast<size_t>(row));
-      for (size_t i = 0; i < q; ++i) {
-        double zi = xr[z_cols_[i]];
-        ztr[i] += zi * r[static_cast<size_t>(row)];
-        for (size_t j = i; j < q; ++j) {
-          ztz(i, j) += zi * xr[z_cols_[j]];
-        }
-      }
+      double rv = r[static_cast<size_t>(row)];
+      for (size_t i = 0; i < q; ++i) out[i] += xr[z_cols_[i]] * rv;
     }
-    for (size_t i = 0; i < q; ++i) {
-      for (size_t j = 0; j < i; ++j) ztz(i, j) = ztz(j, i);
-    }
-    emit(g, end - begin, ztz, ztr);
   }
 }
 
-void DenseEmBackend::ZTimesB(const Matrix& b, std::vector<double>* out) const {
+void DenseEmBackend::ZTimesB(const ClusterTable& /*table*/, const Matrix& b,
+                             std::vector<double>* out) const {
   REPTILE_CHECK_EQ(static_cast<int64_t>(out->size()), n());
   size_t q = z_cols_.size();
-  for (int64_t g = 0; g + 1 < static_cast<int64_t>(cluster_begin_.size()); ++g) {
+  for (int64_t g = 0; g < num_clusters(); ++g) {
     const double* bg = b.RowPtr(static_cast<size_t>(g));
     for (int64_t row = cluster_begin_[g]; row < cluster_begin_[g + 1]; ++row) {
       const double* xr = x_->RowPtr(static_cast<size_t>(row));
@@ -129,6 +142,36 @@ void DenseEmBackend::ZTimesB(const Matrix& b, std::vector<double>* out) const {
 }
 
 // ---------- EM (Appendix D) ----------
+
+namespace {
+
+// One fused pass over the rows after each fixed-effect update: the residual
+// r = y - X beta, rss = r^T r, rzb = r^T (Z b), and r's running prefix
+// (RunningPrefix's sums, which ZtR reads for inter columns). r itself is
+// stored only when `r` is non-empty (Z has intra columns).
+void ResidualPass(const std::vector<double>& y, const std::vector<double>& xb,
+                  const std::vector<double>& zb, std::vector<double>* r,
+                  std::vector<double>* prefix, double* rss, double* rzb) {
+  size_t n = y.size();
+  double* p = prefix->data();
+  double* r_out = r->empty() ? nullptr : r->data();
+  double sum_sq = 0.0;
+  double sum_zb = 0.0;
+  double running = 0.0;
+  p[0] = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double ri = y[i] - xb[i];
+    sum_sq += ri * ri;
+    sum_zb += ri * zb[i];
+    running += ri;
+    p[i + 1] = running;
+    if (r_out != nullptr) r_out[i] = ri;
+  }
+  *rss = sum_sq;
+  *rzb = sum_zb;
+}
+
+}  // namespace
 
 MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<double>& y,
                                 const MultiLevelOptions& options) {
@@ -142,77 +185,89 @@ MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<doub
   MultiLevelModel model;
   model.z_cols = backend->z_cols();
 
-  // Precompute X^T X (and its inverse) and X^T y — both reused every
-  // iteration (Appendix D "we can precompute X^T X and X_i^T X_i").
+  // Precompute X^T X (and its inverse), X^T y and the cluster table (every
+  // Z_i^T Z_i) — all reused every iteration (Appendix D "we can precompute
+  // X^T X and X_i^T X_i").
   Matrix gram = backend->Gram();
   Matrix gram_ridged = gram;
   for (int i = 0; i < m; ++i) gram_ridged(i, i) += options.ridge;
   Matrix gram_inv = InverseSymmetricRidge(gram_ridged);
-  std::vector<double> xty = backend->XtV(y);
+  const ClusterTable table = backend->BuildClusterTable();
+  REPTILE_CHECK_EQ(table.num_clusters(), num_clusters);
+
+  // The fit's n-length buffers, rewritten in place every iteration: r's
+  // running prefix (also the scratch of X^T v), X beta, Z b, and r itself
+  // only when Z has intra columns.
+  size_t rows = y.size();
+  std::vector<double> prefix(rows + 1);
+  std::vector<double> xb(rows);
+  std::vector<double> zb(rows, 0.0);
+  std::vector<double> r(table.intra.empty() ? 0 : rows);
+  std::vector<double> xty;
+  std::vector<double> xtzb;
+  backend->XtV(y, &prefix, &xty);
 
   // Initialise with OLS.
   model.beta = gram_inv.Multiply(Matrix::ColumnVector(xty)).Column(0);
-  std::vector<double> fitted = backend->XTimes(model.beta);
-  std::vector<double> r(y.size());
+  backend->XTimes(model.beta, &xb);
   double rss = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    r[i] = y[i] - fitted[i];
-    rss += r[i] * r[i];
-  }
+  double rzb = 0.0;
+  ResidualPass(y, xb, zb, &r, &prefix, &rss, &rzb);
   model.sigma2 = std::max(options.min_sigma2, rss / static_cast<double>(std::max<int64_t>(n, 1)));
   model.sigma_b = Matrix::Identity(q).Scale(model.sigma2);
   model.b = Matrix(static_cast<size_t>(num_clusters), q);
 
-  std::vector<double> zb(y.size(), 0.0);
+  // Per-cluster E-step workspace, reused across clusters and iterations.
+  Matrix ztr(static_cast<size_t>(num_clusters), q);
+  std::vector<double> vi_inv(q * q);
+  std::vector<double> vi(q * q);
+  std::vector<double> mu(q);
+  LuWorkspace lu;
+
   std::vector<double> prev_beta = model.beta;
   for (int iter = 0; iter < options.em_iters; ++iter) {
     model.iterations_run = iter + 1;
     // --- E-step (equations 8-11): per-cluster posterior of b_i. ---
     Matrix sigma_inv = InverseSymmetricRidge(model.sigma_b, 1e-8);
+    backend->ZtR(table, r, prefix, &ztr);
     Matrix sum_bbt(q, q);
     double trace_term = 0.0;
-    backend->ForEachCluster(r, [&](int64_t g, int64_t size, const Matrix& ztz,
-                                   const std::vector<double>& ztr) {
-      (void)size;
-      Matrix vi_inv = ztz.Scale(1.0 / model.sigma2).Add(sigma_inv);
-      Matrix vi = InverseSymmetricRidge(vi_inv, 1e-10);
+    double inv_sigma2 = 1.0 / model.sigma2;
+    for (int64_t g = 0; g < num_clusters; ++g) {
+      const double* ztz = table.Gram(g);
+      for (size_t k = 0; k < q * q; ++k) vi_inv[k] = ztz[k] * inv_sigma2 + sigma_inv.data()[k];
+      InverseSymmetricRidgeInto(vi_inv.data(), q, 1e-10, vi.data(), &lu);
       // mu_i = V_i Z_i^T r_i / sigma2
-      std::vector<double> mu(q, 0.0);
+      const double* ztr_g = ztr.RowPtr(static_cast<size_t>(g));
+      double* bg = model.b.RowPtr(static_cast<size_t>(g));
       for (size_t i = 0; i < q; ++i) {
         double acc = 0.0;
-        for (size_t j = 0; j < q; ++j) acc += vi(i, j) * ztr[j];
+        for (size_t j = 0; j < q; ++j) acc += vi[i * q + j] * ztr_g[j];
         mu[i] = acc / model.sigma2;
+        bg[i] = mu[i];
       }
-      double* bg = model.b.RowPtr(static_cast<size_t>(g));
-      for (size_t i = 0; i < q; ++i) bg[i] = mu[i];
       // E[b b^T] = V_i + mu mu^T; accumulate Sigma and the sigma2 trace term
       // Tr(Z_i^T Z_i E[b b^T]).
       for (size_t i = 0; i < q; ++i) {
         for (size_t j = 0; j < q; ++j) {
-          double ebbt = vi(i, j) + mu[i] * mu[j];
+          double ebbt = vi[i * q + j] + mu[i] * mu[j];
           sum_bbt(i, j) += ebbt;
-          trace_term += ztz(i, j) * ebbt;
+          trace_term += ztz[i * q + j] * ebbt;
         }
       }
-    });
+    }
 
     // --- M-step (equations 12-14). ---
-    backend->ZTimesB(model.b, &zb);
-    std::vector<double> xtzb = backend->XtV(zb);
+    backend->ZTimesB(table, model.b, &zb);
+    backend->XtV(zb, &prefix, &xtzb);
     std::vector<double> rhs(static_cast<size_t>(m));
     for (int c = 0; c < m; ++c) rhs[static_cast<size_t>(c)] = xty[static_cast<size_t>(c)] - xtzb[static_cast<size_t>(c)];
     model.beta = gram_inv.Multiply(Matrix::ColumnVector(rhs)).Column(0);
 
     model.sigma_b = sum_bbt.Scale(1.0 / static_cast<double>(std::max<int64_t>(num_clusters, 1)));
 
-    fitted = backend->XTimes(model.beta);
-    rss = 0.0;
-    double rzb = 0.0;
-    for (size_t i = 0; i < y.size(); ++i) {
-      r[i] = y[i] - fitted[i];
-      rss += r[i] * r[i];
-      rzb += r[i] * zb[i];
-    }
+    backend->XTimes(model.beta, &xb);
+    ResidualPass(y, xb, zb, &r, &prefix, &rss, &rzb);
     model.sigma2 = (rss + trace_term - 2.0 * rzb) / static_cast<double>(std::max<int64_t>(n, 1));
     if (!(model.sigma2 > options.min_sigma2)) model.sigma2 = options.min_sigma2;
 
@@ -231,10 +286,10 @@ MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<doub
     prev_beta = model.beta;
   }
 
-  // Final fitted values: X beta + Z b.
-  backend->ZTimesB(model.b, &zb);
-  model.fitted.resize(y.size());
-  for (size_t i = 0; i < y.size(); ++i) model.fitted[i] = fitted[i] + zb[i];
+  // Final fitted values: X beta + Z b, built in X beta's buffer.
+  backend->ZTimesB(table, model.b, &zb);
+  for (size_t i = 0; i < rows; ++i) xb[i] += zb[i];
+  model.fitted = std::move(xb);
   return model;
 }
 

@@ -14,18 +14,24 @@
 #ifndef REPTILE_MODEL_MULTILEVEL_H_
 #define REPTILE_MODEL_MULTILEVEL_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "factor/decomposed.h"
 #include "factor/frep.h"
+#include "fmatrix/cluster_ops.h"
 #include "linalg/matrix.h"
 
 namespace reptile {
 
 /// Abstract matrix-operation provider for the EM loop. All six bottleneck
 /// operations of Appendix D appear here.
+///
+/// A fit calls Gram() and BuildClusterTable() once; the table (each
+/// cluster's row range, Z_i^T Z_i, and Z's inter-column values) lives in the
+/// fit's own frame. Every iteration then runs the remaining operations over
+/// that table, writing into buffers the fit owns and reuses, so an iteration
+/// allocates nothing proportional to n or to the number of clusters.
 class EmBackend {
  public:
   virtual ~EmBackend() = default;
@@ -37,27 +43,33 @@ class EmBackend {
 
   // All operations are const: a backend borrows immutable inputs (the
   // factorised matrix and aggregates, or the materialised matrix) and holds
-  // no per-fit scratch state, so one backend — and the read-only structures
-  // under it — can serve fits on several worker threads at once.
+  // no per-fit state, so one backend — and the read-only structures under
+  // it — can serve fits on several worker threads at once.
 
   /// X^T X (precomputed once per fit).
   virtual Matrix Gram() const = 0;
 
-  /// X^T v for an n-vector v (left multiplication).
-  virtual std::vector<double> XtV(const std::vector<double>& v) const = 0;
+  /// The per-fit cluster table over Z = X(z_cols) (built once per fit).
+  virtual ClusterTable BuildClusterTable() const = 0;
 
-  /// X beta for an m-vector beta (right multiplication).
-  virtual std::vector<double> XTimes(const std::vector<double>& beta) const = 0;
+  /// out = X^T v (m) for an n-vector v (left multiplication); `prefix`
+  /// (n + 1) is caller-owned scratch.
+  virtual void XtV(const std::vector<double>& v, std::vector<double>* prefix,
+                   std::vector<double>* out) const = 0;
 
-  /// Per-cluster Z_i^T Z_i and Z_i^T r_i, streamed in cluster order.
-  virtual void ForEachCluster(
-      const std::vector<double>& r,
-      const std::function<void(int64_t cluster, int64_t size, const Matrix& ztz,
-                               const std::vector<double>& ztr)>& emit) const = 0;
+  /// out = X beta (n) for an m-vector beta (right multiplication).
+  virtual void XTimes(const std::vector<double>& beta, std::vector<double>* out) const = 0;
 
-  /// Z b: per-cluster right multiplication with cluster coefficients
-  /// (b is G x q); out must have length n.
-  virtual void ZTimesB(const Matrix& b, std::vector<double>* out) const = 0;
+  /// Row i of `ztr` (G x q) = Z_i^T r_i. Inter positions of the table read
+  /// `r_prefix` (n + 1, the running prefix of r); intra positions read `r`,
+  /// which may be empty when the table has none.
+  virtual void ZtR(const ClusterTable& table, const std::vector<double>& r,
+                   const std::vector<double>& r_prefix, Matrix* ztr) const = 0;
+
+  /// out = Z b (n): per-cluster right multiplication with cluster
+  /// coefficients (b is G x q).
+  virtual void ZTimesB(const ClusterTable& table, const Matrix& b,
+                       std::vector<double>* out) const = 0;
 };
 
 /// Factorised backend over a FactorizedMatrix (+ decomposed aggregates).
@@ -71,13 +83,14 @@ class FactorizedEmBackend : public EmBackend {
   int64_t num_clusters() const override { return fm_->num_clusters(); }
   const std::vector<int>& z_cols() const override { return z_cols_; }
   Matrix Gram() const override;
-  std::vector<double> XtV(const std::vector<double>& v) const override;
-  std::vector<double> XTimes(const std::vector<double>& beta) const override;
-  void ForEachCluster(
-      const std::vector<double>& r,
-      const std::function<void(int64_t, int64_t, const Matrix&, const std::vector<double>&)>&
-          emit) const override;
-  void ZTimesB(const Matrix& b, std::vector<double>* out) const override;
+  ClusterTable BuildClusterTable() const override;
+  void XtV(const std::vector<double>& v, std::vector<double>* prefix,
+           std::vector<double>* out) const override;
+  void XTimes(const std::vector<double>& beta, std::vector<double>* out) const override;
+  void ZtR(const ClusterTable& table, const std::vector<double>& r,
+           const std::vector<double>& r_prefix, Matrix* ztr) const override;
+  void ZTimesB(const ClusterTable& table, const Matrix& b,
+               std::vector<double>* out) const override;
 
  private:
   const FactorizedMatrix* fm_;
@@ -86,6 +99,7 @@ class FactorizedEmBackend : public EmBackend {
 };
 
 /// Dense backend over a materialised matrix with contiguous cluster ranges.
+/// Its table has no inter positions: every Z_i^T r_i is summed over rows.
 class DenseEmBackend : public EmBackend {
  public:
   /// `cluster_begin` holds the first row of each cluster plus a final
@@ -99,13 +113,14 @@ class DenseEmBackend : public EmBackend {
   }
   const std::vector<int>& z_cols() const override { return z_cols_; }
   Matrix Gram() const override;
-  std::vector<double> XtV(const std::vector<double>& v) const override;
-  std::vector<double> XTimes(const std::vector<double>& beta) const override;
-  void ForEachCluster(
-      const std::vector<double>& r,
-      const std::function<void(int64_t, int64_t, const Matrix&, const std::vector<double>&)>&
-          emit) const override;
-  void ZTimesB(const Matrix& b, std::vector<double>* out) const override;
+  ClusterTable BuildClusterTable() const override;
+  void XtV(const std::vector<double>& v, std::vector<double>* prefix,
+           std::vector<double>* out) const override;
+  void XTimes(const std::vector<double>& beta, std::vector<double>* out) const override;
+  void ZtR(const ClusterTable& table, const std::vector<double>& r,
+           const std::vector<double>& r_prefix, Matrix* ztr) const override;
+  void ZTimesB(const ClusterTable& table, const Matrix& b,
+               std::vector<double>* out) const override;
 
  private:
   const Matrix* x_;
@@ -139,7 +154,10 @@ struct MultiLevelModel {
 };
 
 /// Runs EM (Appendix D) for `options.em_iters` iterations. The backend is
-/// read-only throughout the fit.
+/// read-only throughout the fit. Every sum runs in one fixed order (rows in
+/// row order, clusters in cluster order, no partial sums), so a fit's bits
+/// depend only on its inputs; the MultiLevelBitExact tests pin them, which
+/// keeps cached and snapshotted fits valid across builds.
 MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<double>& y,
                                 const MultiLevelOptions& options = MultiLevelOptions());
 

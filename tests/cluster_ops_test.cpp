@@ -3,6 +3,7 @@
 
 #include "common/rng.h"
 #include "fmatrix/cluster_ops.h"
+#include "fmatrix/left_mult.h"
 #include "fmatrix/materialize.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -54,6 +55,12 @@ struct ClusterParam {
 
 class ClusterOpsTest : public ::testing::TestWithParam<ClusterParam> {};
 
+std::vector<double> PrefixOf(const std::vector<double>& r) {
+  std::vector<double> prefix;
+  RunningPrefix(r, &prefix);
+  return prefix;
+}
+
 TEST_P(ClusterOpsTest, GramAndLeftMatchDense) {
   ClusterParam p = GetParam();
   Rng rng(p.seed);
@@ -68,8 +75,12 @@ TEST_P(ClusterOpsTest, GramAndLeftMatchDense) {
     if (rng.Bernoulli(0.7) || c == 0) cols.push_back(c);
   }
 
+  ClusterTable table = BuildClusterTable(rm.fm, cols);
+  Matrix ztr(static_cast<size_t>(table.num_clusters()), cols.size());
+  ClusterLeftMultiply(rm.fm, table, r, PrefixOf(r), &ztr);
+
   int64_t clusters_seen = 0;
-  ForEachClusterGram(rm.fm, cols, &r, [&](const ClusterData& data) {
+  ForEachClusterGram(rm.fm, cols, [&](const ClusterData& data) {
     ++clusters_seen;
     size_t q = cols.size();
     // Dense reference on the cluster's row slice.
@@ -86,10 +97,10 @@ TEST_P(ClusterOpsTest, GramAndLeftMatchDense) {
     EXPECT_TRUE(data.gram->ApproxEquals(expected_gram, 1e-8))
         << "cluster " << data.cluster << "\nactual " << data.gram->DebugString()
         << "\nexpected " << expected_gram.DebugString();
-    ASSERT_NE(data.ztr, nullptr);
     Matrix expected_ztr = xi.Transposed().Multiply(Matrix::ColumnVector(ri));
     for (size_t j = 0; j < q; ++j) {
-      EXPECT_NEAR((*data.ztr)[j], expected_ztr(j, 0), 1e-8) << "cluster " << data.cluster;
+      EXPECT_NEAR(ztr(static_cast<size_t>(data.cluster), j), expected_ztr(j, 0), 1e-8)
+          << "cluster " << data.cluster;
     }
   });
   EXPECT_EQ(clusters_seen, rm.fm.num_clusters());
@@ -110,7 +121,7 @@ TEST_P(ClusterOpsTest, RightMultiplyMatchesDense) {
   for (size_t i = 0; i < b.size(); ++i) b.mutable_data()[i] = rng.Normal(0, 1);
 
   std::vector<double> out(static_cast<size_t>(rm.fm.num_rows()), 0.0);
-  ClusterRightMultiply(rm.fm, cols, b, &out);
+  ClusterRightMultiply(rm.fm, BuildClusterTable(rm.fm, cols), b, &out);
 
   for (int64_t row = 0; row < rm.fm.num_rows(); ++row) {
     int64_t cluster = rm.fm.ClusterOfRow(row);
@@ -143,19 +154,64 @@ TEST_P(ClusterOpsTest, LeftOnlyMatchesDense) {
   std::vector<double> r = testutil::RandomVector(&rng, rm.fm.num_rows());
   std::vector<int> cols;
   for (int c = 0; c < rm.fm.num_cols(); ++c) cols.push_back(c);
-  int64_t clusters_seen = 0;
-  ForEachClusterLeft(rm.fm, cols, r, [&](const ClusterData& data) {
-    ++clusters_seen;
+  ClusterTable table = BuildClusterTable(rm.fm, cols);
+  Matrix ztr(static_cast<size_t>(table.num_clusters()), cols.size());
+  ClusterLeftMultiply(rm.fm, table, r, PrefixOf(r), &ztr);
+  ASSERT_EQ(table.num_clusters(), rm.fm.num_clusters());
+  for (int64_t g = 0; g < table.num_clusters(); ++g) {
     for (size_t j = 0; j < cols.size(); ++j) {
       double expected = 0.0;
-      for (int64_t i = 0; i < data.size; ++i) {
-        expected += x(static_cast<size_t>(data.row_begin + i), static_cast<size_t>(cols[j])) *
-                    r[static_cast<size_t>(data.row_begin + i)];
+      for (int64_t row = table.row_begin[static_cast<size_t>(g)];
+           row < table.row_begin[static_cast<size_t>(g) + 1]; ++row) {
+        expected += x(static_cast<size_t>(row), static_cast<size_t>(cols[j])) *
+                    r[static_cast<size_t>(row)];
       }
-      EXPECT_NEAR((*data.ztr)[j], expected, 1e-8) << "cluster " << data.cluster;
+      EXPECT_NEAR(ztr(static_cast<size_t>(g), j), expected, 1e-8) << "cluster " << g;
     }
+  }
+}
+
+// The per-fit table is ForEachClusterGram's stream, copied bit for bit: the
+// EM reads its grams every iteration instead of re-deriving them.
+TEST_P(ClusterOpsTest, TableMatchesGramStream) {
+  ClusterParam p = GetParam();
+  Rng rng(p.seed + 1300);
+  testutil::RandomMatrix rm =
+      testutil::MakeRandomMatrix(&rng, p.hierarchies, 3, 4, p.num_multi);
+  std::vector<int> cols;
+  for (int c = 0; c < rm.fm.num_cols(); ++c) {
+    if (rng.Bernoulli(0.7) || c == 0) cols.push_back(c);
+  }
+  ClusterTable table = BuildClusterTable(rm.fm, cols);
+  size_t q = cols.size();
+  ASSERT_EQ(table.q(), q);
+  ASSERT_EQ(table.num_clusters(), rm.fm.num_clusters());
+  EXPECT_EQ(table.row_begin.back(), rm.fm.num_rows());
+  EXPECT_EQ(table.inter.size() + table.intra.size(), q);
+  int64_t g = 0;
+  ForEachClusterGram(rm.fm, cols, [&](const ClusterData& data) {
+    ASSERT_EQ(data.cluster, g);
+    size_t cluster = static_cast<size_t>(g);
+    EXPECT_EQ(table.row_begin[cluster], data.row_begin);
+    EXPECT_EQ(table.row_begin[cluster + 1] - table.row_begin[cluster], data.size);
+    for (size_t k = 0; k < q * q; ++k) {
+      EXPECT_EQ(table.Gram(g)[k], data.gram->data()[k]) << "cluster " << g << " cell " << k;
+    }
+    for (size_t a = 0; a < table.inter.size(); ++a) {
+      EXPECT_EQ(table.InterValues(g)[a],
+                (*data.values)[static_cast<size_t>(table.inter[a])])
+          << "cluster " << g;
+    }
+    if (!table.intra.empty()) {
+      EXPECT_EQ(table.child_node_begin[cluster], data.child_node_begin);
+      size_t attrs = static_cast<size_t>(rm.fm.num_attrs());
+      for (size_t k = 0; k < attrs; ++k) {
+        EXPECT_EQ(table.codes[cluster * attrs + k], (*data.codes)[k]) << "cluster " << g;
+      }
+    }
+    ++g;
   });
-  EXPECT_EQ(clusters_seen, rm.fm.num_clusters());
+  EXPECT_EQ(g, table.num_clusters());
 }
 
 TEST(ClusterIterator, ReportsChangedAttrs) {

@@ -1,12 +1,18 @@
-// Tests for model/multilevel: EM behaviour on synthetic mixed-effects data
-// and the exact equivalence of the factorised and dense backends.
+// Tests for model/multilevel: EM behaviour on synthetic mixed-effects data,
+// the equivalence of the factorised and dense backends, and bit-exact pins
+// of both backends' fits.
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "baselines/naive_trainer.h"
+#include "common/hashing.h"
 #include "common/rng.h"
+#include "datagen/synthetic.h"
 #include "fmatrix/materialize.h"
 #include "gtest/gtest.h"
+#include "model/model_eval.h"
 #include "model/multilevel.h"
 #include "test_util.h"
 
@@ -95,7 +101,8 @@ TEST(MultiLevelDense, FittedImprovesOverFixedOnly) {
   DenseEmBackend backend(&data.x, data.cluster_begin, {0});
   MultiLevelModel model = TrainMultiLevel(&backend, data.y);
   double rss_fitted = 0.0, rss_fixed = 0.0;
-  std::vector<double> xb = backend.XTimes(model.beta);
+  std::vector<double> xb;
+  backend.XTimes(model.beta, &xb);
   for (size_t i = 0; i < data.y.size(); ++i) {
     rss_fitted += (data.y[i] - model.fitted[i]) * (data.y[i] - model.fitted[i]);
     rss_fixed += (data.y[i] - xb[i]) * (data.y[i] - xb[i]);
@@ -139,6 +146,108 @@ TEST_P(BackendEquivalenceTest, FactorizedMatchesDense) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalenceTest, ::testing::Range(0, 10));
+
+// Bit-exact pins: FNV-1a digests of every fitted quantity. Fits feed the
+// model cache, persisted snapshots and response bytes, so any change to the
+// EM path must reproduce them to the last bit — a digest change here is a
+// behaviour change, never noise. The digests assume IEEE doubles without
+// fused multiply-add contraction (the default x86-64 build).
+std::string ModelDigest(const MultiLevelModel& model) {
+  Fnv1aHasher hasher;
+  for (double v : model.beta) hasher.MixDouble(v);
+  hasher.MixDouble(model.sigma2);
+  for (double v : model.sigma_b.data()) hasher.MixDouble(v);
+  for (double v : model.b.data()) hasher.MixDouble(v);
+  for (double v : model.fitted) hasher.MixDouble(v);
+  hasher.MixI64(model.iterations_run);
+  return hasher.Hex();
+}
+
+std::string DoubleDigest(double v) {
+  Fnv1aHasher hasher;
+  hasher.MixDouble(v);
+  return hasher.Hex();
+}
+
+// Intercept-only Z over the perfbench full-depth shape, scaled down:
+// 4 hierarchies x 6 values, so 216 clusters of 6 rows.
+struct SyntheticFit {
+  SyntheticMatrix sm;
+  std::unique_ptr<DecomposedAggregates> agg;
+  std::unique_ptr<FactorizedEmBackend> backend;
+  std::vector<double> y;
+};
+
+std::unique_ptr<SyntheticFit> MakeSyntheticFit() {
+  auto fit = std::make_unique<SyntheticFit>();
+  SyntheticOptions options;
+  options.num_hierarchies = 4;
+  options.attrs_per_hierarchy = 1;
+  options.cardinality = 6;
+  options.seed = 7;
+  fit->sm = MakeSyntheticMatrix(options);
+  fit->agg = std::make_unique<DecomposedAggregates>(&fit->sm.fm, fit->sm.LocalPtrs());
+  fit->backend = std::make_unique<FactorizedEmBackend>(&fit->sm.fm, fit->agg.get(),
+                                                       std::vector<int>{0});
+  Rng rng(11);
+  fit->y.resize(static_cast<size_t>(fit->sm.fm.num_rows()));
+  for (double& v : fit->y) v = rng.Normal(100.0, 20.0);
+  return fit;
+}
+
+TEST(MultiLevelBitExact, FactorizedInterceptOnly) {
+  std::unique_ptr<SyntheticFit> fit = MakeSyntheticFit();
+  ASSERT_EQ(fit->sm.fm.num_clusters(), 216);
+  MultiLevelModel model = TrainMultiLevel(fit->backend.get(), fit->y);
+  EXPECT_EQ(model.iterations_run, 20);
+  EXPECT_EQ(ModelDigest(model), "45a3b387c919b0d6");
+  EXPECT_EQ(DoubleDigest(MultiLevelLogLikelihood(fit->backend.get(), model, fit->y)),
+            "43bca1d3fed4dcf2");
+}
+
+// Random forests with one multi-attribute column and BackendEquivalenceTest's
+// random Z subsets: uneven clusters, intra columns and the hybrid path.
+class MultiLevelBitExactRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultiLevelBitExactRandom, FactorizedRandomZ) {
+  static const char* const kDigests[] = {"065afc841c176c69", "4a005131a6c4b26c",
+                                         "2be26302461affac", "d63891daefecc1d6"};
+  Rng rng(GetParam());
+  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, 2, 3, 4, /*num_multi=*/1);
+  DecomposedAggregates agg(&rm.fm, rm.LocalPtrs());
+  std::vector<double> y = testutil::RandomVector(&rng, rm.fm.num_rows());
+  std::vector<int> z_cols = {0};
+  for (int c = 1; c < rm.fm.num_cols(); ++c) {
+    if (rng.Bernoulli(0.5)) z_cols.push_back(c);
+  }
+  MultiLevelOptions options;
+  options.em_iters = 8;
+  FactorizedEmBackend backend(&rm.fm, &agg, z_cols);
+  MultiLevelModel model = TrainMultiLevel(&backend, y, options);
+  EXPECT_EQ(ModelDigest(model), kDigests[GetParam()]) << "z_cols " << z_cols.size();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiLevelBitExactRandom, ::testing::Range(0, 4));
+
+TEST(MultiLevelBitExact, DenseMixedData) {
+  Rng rng(3);
+  MixedData data = MakeMixedData(&rng, 40, 25, /*tau=*/1.5, /*noise=*/0.5);
+  DenseEmBackend backend(&data.x, data.cluster_begin, {0, 1});
+  MultiLevelModel model = TrainMultiLevel(&backend, data.y);
+  EXPECT_EQ(ModelDigest(model), "2e8158d7b3ea0e19");
+  EXPECT_EQ(DoubleDigest(MultiLevelLogLikelihood(&backend, model, data.y)),
+            "b4e8027af984ece5");
+}
+
+TEST(MultiLevelBitExact, ToleranceStopsEarly) {
+  std::unique_ptr<SyntheticFit> fit = MakeSyntheticFit();
+  MultiLevelOptions options;
+  options.tolerance = 1e-3;
+  MultiLevelModel model = TrainMultiLevel(fit->backend.get(), fit->y, options);
+  EXPECT_GT(model.iterations_run, 0);
+  EXPECT_LT(model.iterations_run, options.em_iters);
+  EXPECT_EQ(ModelDigest(model), "d1f21b61d16ffc8d");
+}
 
 TEST(ClusterBeginsOf, MatchesClusterStructure) {
   Rng rng(2);

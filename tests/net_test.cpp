@@ -926,6 +926,34 @@ TEST(CsvStreamTest, ErrorsAreIdenticalAcrossSplitsAndSticky) {
   EXPECT_NE(streamed.status().message().find("row 2"), std::string::npos);
 }
 
+// strtod accepts these; a measure must be finite, so each is the parser's
+// row- and column-naming ParseError however the bytes arrive.
+TEST(CsvStreamTest, NonFiniteMeasuresAreParseErrorsAcrossSplits) {
+  CsvSpec spec;
+  spec.dimension_columns = {"d"};
+  spec.measure_columns = {"m"};
+  for (const char* literal : {"nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999"}) {
+    const std::string text = std::string("d,m\nd0,1\nd1,") + literal + "\nd2,3\n";
+    Result<Table> whole = LoadCsvText(text, spec);
+    ASSERT_FALSE(whole.ok()) << literal;
+    EXPECT_EQ(whole.status().code(), StatusCode::kParseError) << literal;
+    EXPECT_NE(whole.status().message().find("row 2, column 'm'"), std::string::npos)
+        << whole.status().ToString();
+    for (size_t chunk_size : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64}}) {
+      CsvStreamParser parser(spec, "inline csv");
+      for (size_t pos = 0; pos < text.size(); pos += chunk_size) {
+        if (!parser.Feed(std::string_view(text).substr(pos, chunk_size))) break;
+      }
+      Result<Table> streamed = parser.Finish();
+      ASSERT_FALSE(streamed.ok()) << literal << " chunk=" << chunk_size;
+      EXPECT_EQ(streamed.status().ToString(), whole.status().ToString())
+          << literal << " chunk=" << chunk_size;
+    }
+  }
+  // Large finite values still parse.
+  EXPECT_TRUE(LoadCsvText("d,m\nd0,1e308\nd1,-1e308\n", spec).ok());
+}
+
 TEST(CsvStreamTest, FinishFlushesUnterminatedTrailingLine) {
   CsvSpec spec;
   spec.dimension_columns = {"d"};

@@ -61,7 +61,7 @@ TEST_P(DeepForestTest, FullOperatorStackMatchesDense) {
   std::vector<int> cols;
   for (int c = 0; c < rm.fm.num_cols(); ++c) cols.push_back(c);
   int64_t checked = 0;
-  ForEachClusterGram(rm.fm, cols, &r, [&](const ClusterData& data) {
+  ForEachClusterGram(rm.fm, cols, [&](const ClusterData& data) {
     if (checked++ > 5) return;
     Matrix xi(static_cast<size_t>(data.size), cols.size());
     for (int64_t i = 0; i < data.size; ++i) {

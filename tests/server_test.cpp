@@ -786,6 +786,46 @@ TEST_F(ServerTest, DatasetUploadErrorSurface) {
   EXPECT_EQ(parsed->Find("sessions")->array_items().size(), 3u);
 }
 
+// A non-finite measure (which strtod accepts) is a 400 naming the row and
+// column, on upload and on append, rather than a dataset whose recommends
+// answer a meaningless 200.
+TEST_F(ServerTest, NonFiniteMeasureUploadIsRejected) {
+  HttpClient client = Client();
+  for (const char* literal : {"nan", "inf", "-inf", "1e999"}) {
+    Result<HttpClientResponse> upload = client.Post(
+        "/v1/datasets",
+        std::string(R"({"name":"x","csv":"a,m\nv,1\nw,)") + literal +
+            R"(\n","dimensions":["a"],"measures":["m"],)"
+            R"("hierarchies":[{"name":"h","attributes":["a"]}]})");
+    ExpectError(upload, 400, "PARSE_ERROR");
+    EXPECT_NE(upload->body.find("row 2, column 'm'"), std::string::npos) << upload->body;
+  }
+  // No dataset was created.
+  ExpectError(client.Post("/v1/sessions", R"({"dataset":"x"})"), 404, "NOT_FOUND");
+}
+
+TEST_F(ServerTest, NonFiniteMeasureAppendIsRejected) {
+  HttpClient client = Client();
+  auto session_json = [&client] {
+    Result<HttpClientResponse> got = client.Get("/v1/sessions/default:fresh");
+    EXPECT_TRUE(got.ok());
+    return got.ok() ? got->body : std::string();
+  };
+  const std::string before = session_json();
+  ASSERT_NE(before.find("\"dataset_version\""), std::string::npos) << before;
+  for (const char* literal : {"nan", "inf", "-inf", "1e999"}) {
+    Result<HttpClientResponse> append = client.Post(
+        "/v1/datasets/fresh/rows",
+        std::string(R"({"csv":"district,village,year,severity\nd0,d0_v0,y0,1\nd0,d0_v0,y1,)") +
+            literal + R"(\n"})");
+    ExpectError(append, 400, "PARSE_ERROR");
+    EXPECT_NE(append->body.find("row 2, column 'severity'"), std::string::npos)
+        << append->body;
+  }
+  // The rejected appends created no version.
+  EXPECT_EQ(session_json(), before);
+}
+
 // Without a configured --dataset-root, the server-side "path" form must be
 // off entirely — otherwise any client could read (and exfiltrate through
 // parse-error echoes) arbitrary server files.

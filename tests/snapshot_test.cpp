@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -269,6 +270,35 @@ TEST(DatasetSnapshot, CorruptedFileIsRejectedWithStatusNotUB) {
   for (size_t cut : {good.size() / 4, good.size() / 2, good.size() - 3}) {
     WriteFileBytes(file.path(), good.substr(0, cut));
     EXPECT_FALSE(LoadPreparedDataset(file.path()).ok()) << "cut=" << cut;
+  }
+}
+
+// A snapshot whose measure column holds a non-finite value (a crafted file,
+// or one written from a table that never passed CSV validation) is a parse
+// error, the same contract CSV ingest enforces.
+TEST(DatasetSnapshot, NonFiniteMeasureIsAParseError) {
+  ScopedFile file(TempPath("nonfinite.snap"));
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Table table;
+    int a = table.AddDimensionColumn("a");
+    int m = table.AddMeasureColumn("m");
+    for (int row = 0; row < 3; ++row) {
+      table.SetDim(a, "v" + std::to_string(row));
+      table.SetMeasure(m, row == 1 ? bad : 1.0);
+      table.CommitRow();
+    }
+    Result<Dataset> dataset = Dataset::Make(std::move(table), {HierarchySchema{"h", {"a"}}});
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    Result<DatasetHandle> handle = PreparedDataset::Prepare(std::move(dataset).value());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_TRUE(SavePreparedDataset(**handle, file.path()).ok());
+    Result<DatasetHandle> loaded = LoadPreparedDataset(file.path());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("non-finite measure at row 1"), std::string::npos)
+        << loaded.status().ToString();
   }
 }
 
