@@ -1,24 +1,66 @@
 #include "data/csv.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 #include <utility>
 
 namespace reptile {
 namespace {
 
-std::vector<std::string> SplitLine(const std::string& line, char separator) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream stream(line);
-  while (std::getline(stream, field, separator)) fields.push_back(field);
-  if (!line.empty() && line.back() == separator) fields.emplace_back();
-  return fields;
+constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+
+// Views of `line`'s fields: count(separator) + 1 of them for a non-empty
+// line (a trailing separator ends in an empty field), none for an empty one.
+void SplitFields(std::string_view line, char separator, std::vector<std::string_view>* fields) {
+  fields->clear();
+  if (line.empty()) return;
+  size_t begin = 0;
+  for (size_t end; (end = line.find(separator, begin)) != std::string_view::npos;
+       begin = end + 1) {
+    fields->push_back(line.substr(begin, end - begin));
+  }
+  fields->push_back(line.substr(begin));
+}
+
+// A measure field as strtod reads it, trailing blanks and tabs allowed; false
+// unless the whole field is a finite number. from_chars takes the common
+// case without a copy. Both parsers round correctly and neither depends on
+// the locale here, so wherever from_chars consumes the whole field it yields
+// strtod's bits; anything else (leading blanks or '+', hex floats, values
+// out of range, embedded NULs, junk) takes strtod's path on a NUL-terminated
+// copy, which keeps the accepted language exactly strtod's.
+bool ParseMeasure(std::string_view field, double* value) {
+  const char* last = field.data() + field.size();
+  auto [end, error] = std::from_chars(field.data(), last, *value);
+  if (error == std::errc()) {
+    while (end != last && (*end == ' ' || *end == '\t')) ++end;
+    if (end == last) return std::isfinite(*value);
+  }
+  const std::string copy(field);
+  char* copy_end = nullptr;
+  *value = std::strtod(copy.c_str(), &copy_end);
+  while (*copy_end == ' ' || *copy_end == '\t') ++copy_end;  // permit trailing padding
+  // strtod accepts "nan", "inf" and overflowing literals such as "1e999"; a
+  // non-finite measure would reach the model as a silently meaningless
+  // answer, so it is rejected like any other bad field.
+  return copy_end != copy.c_str() && *copy_end == '\0' && std::isfinite(*value);
 }
 
 }  // namespace
+
+std::vector<std::string> SplitCsvHeader(std::string_view text, char separator) {
+  std::string_view line = text.substr(0, text.find('\n'));
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  // Exporters (Excel, PowerShell) prefix UTF-8 files with a byte-order mark;
+  // without this strip it would glue onto the first header name.
+  if (line.starts_with(kUtf8Bom)) line.remove_prefix(kUtf8Bom.size());
+  std::vector<std::string_view> fields;
+  SplitFields(line, separator, &fields);
+  return std::vector<std::string>(fields.begin(), fields.end());
+}
 
 CsvStreamParser::CsvStreamParser(CsvSpec spec, std::string origin)
     : spec_(std::move(spec)), origin_(std::move(origin)) {}
@@ -32,26 +74,36 @@ bool CsvStreamParser::Fail(Status status) {
 bool CsvStreamParser::Feed(std::string_view chunk) {
   if (!status_.ok()) return false;
   size_t begin = 0;
+  if (!pending_.empty()) {
+    // A line that straddles chunks is the only one assembled in a copy, so
+    // the '\r' and BOM strips see whole lines wherever a boundary falls.
+    size_t newline = chunk.find('\n');
+    if (newline == std::string_view::npos) {
+      pending_.append(chunk);
+      return true;
+    }
+    pending_.append(chunk, 0, newline);
+    begin = newline + 1;
+    bool ok = ProcessLine(pending_);
+    pending_.clear();
+    if (!ok) return false;
+  }
   while (begin < chunk.size()) {
     size_t newline = chunk.find('\n', begin);
     if (newline == std::string_view::npos) {
-      pending_.append(chunk, begin, chunk.size() - begin);
+      pending_.assign(chunk, begin);
       break;
     }
-    std::string line = std::move(pending_);
-    pending_.clear();
-    line.append(chunk, begin, newline - begin);
+    if (!ProcessLine(chunk.substr(begin, newline - begin))) return false;
     begin = newline + 1;
-    if (!ProcessLine(std::move(line))) return false;
   }
   return true;
 }
 
 Result<Table> CsvStreamParser::Finish() {
   if (status_.ok() && !pending_.empty()) {
-    std::string line = std::move(pending_);
+    ProcessLine(pending_);
     pending_.clear();
-    ProcessLine(std::move(line));
   }
   if (status_.ok() && !saw_any_line_) {
     status_ = Status::ParseError(origin_ + " is empty (expected a header row)");
@@ -60,24 +112,19 @@ Result<Table> CsvStreamParser::Finish() {
   return std::move(table_);
 }
 
-bool CsvStreamParser::ProcessLine(std::string line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+bool CsvStreamParser::ProcessLine(std::string_view line) {
   if (!header_done_) {
-    // Exporters (Excel, PowerShell) prefix UTF-8 files with a byte-order
-    // mark; without this strip it would glue onto the first header name.
-    // Lines are assembled in pending_ before reaching here, so the strip is
-    // chunk-boundary safe.
-    if (line.rfind("\xEF\xBB\xBF", 0) == 0) line.erase(0, 3);
     saw_any_line_ = true;
     header_done_ = true;
-    return ProcessHeader(line);
+    return ProcessHeader(SplitCsvHeader(line, spec_.separator));
   }
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   if (line.empty()) return true;  // blank data lines are skipped
   return ProcessDataRow(line);
 }
 
-bool CsvStreamParser::ProcessHeader(const std::string& line) {
-  header_ = SplitLine(line, spec_.separator);
+bool CsvStreamParser::ProcessHeader(std::vector<std::string> header) {
+  header_ = std::move(header);
 
   // Map CSV field index -> (table column, is_dimension); -1 = skip. Columns
   // are added in header order (the documented contract); spec names that
@@ -125,33 +172,28 @@ bool CsvStreamParser::ProcessHeader(const std::string& line) {
   return true;
 }
 
-bool CsvStreamParser::ProcessDataRow(const std::string& line) {
+bool CsvStreamParser::ProcessDataRow(std::string_view line) {
   ++row_number_;
-  std::vector<std::string> fields = SplitLine(line, spec_.separator);
-  if (fields.size() != header_.size()) {
+  SplitFields(line, spec_.separator, &fields_);
+  if (fields_.size() != header_.size()) {
     return Fail(Status::ParseError(origin_ + " row " + std::to_string(row_number_) +
                                    ": expected " + std::to_string(header_.size()) +
-                                   " fields, got " + std::to_string(fields.size())));
+                                   " fields, got " + std::to_string(fields_.size())));
   }
-  for (size_t f = 0; f < fields.size(); ++f) {
+  for (size_t f = 0; f < fields_.size(); ++f) {
     int column = field_to_column_[f];
     if (column < 0) continue;
     if (field_is_dim_[f]) {
-      table_.SetDim(column, fields[f]);
-    } else {
-      char* end = nullptr;
-      double value = std::strtod(fields[f].c_str(), &end);
-      while (*end == ' ' || *end == '\t') ++end;  // permit trailing padding
-      // strtod accepts "nan", "inf" and overflowing literals such as
-      // "1e999"; a non-finite measure would reach the model as a silently
-      // meaningless answer, so it is rejected here like any other bad field.
-      if (end == fields[f].c_str() || *end != '\0' || !std::isfinite(value)) {
-        return Fail(Status::ParseError(origin_ + " row " + std::to_string(row_number_) +
-                                       ", column '" + header_[f] + "': cannot parse '" +
-                                       fields[f] + "' as a finite number"));
-      }
-      table_.SetMeasure(column, value);
+      table_.SetDim(column, fields_[f]);
+      continue;
     }
+    double value = 0.0;
+    if (!ParseMeasure(fields_[f], &value)) {
+      return Fail(Status::ParseError(origin_ + " row " + std::to_string(row_number_) +
+                                     ", column '" + header_[f] + "': cannot parse '" +
+                                     std::string(fields_[f]) + "' as a finite number"));
+    }
+    table_.SetMeasure(column, value);
   }
   table_.CommitRow();
   return true;

@@ -23,6 +23,14 @@ struct CsvSpec {
   char separator = ',';
 };
 
+/// The header fields of CSV `text`: its first line (up to the first '\n'),
+/// with one trailing '\r' and then a leading UTF-8 byte-order mark stripped,
+/// split on `separator`. A non-empty line has count(separator) + 1 fields (a
+/// trailing separator ends in an empty field); an empty line has none. This
+/// is the header CsvStreamParser maps columns from, so an append's schema
+/// gate (version/append.cpp) sees exactly the names the parser will.
+std::vector<std::string> SplitCsvHeader(std::string_view text, char separator);
+
 /// Incremental CSV parser: feed byte chunks as they arrive (from a socket,
 /// a file, anywhere), split at any point — mid-line, mid-UTF-8 byte, it
 /// doesn't matter — and collect the Table at the end. This is the single
@@ -35,6 +43,12 @@ struct CsvSpec {
 /// identical to the historical whole-buffer parser (tests pin them):
 /// kIoError/kParseError/kNotFound with 1-based data row numbers prefixed by
 /// `origin` ("'data.csv'" for files, "inline csv" for uploads).
+///
+/// Lines are split into string_view fields in place, inside the fed chunk;
+/// only a line that straddles two chunks is copied. Measures are read with
+/// std::from_chars, and any field it does not accept whole (leading blanks
+/// or '+', hex floats, out-of-range values, junk) goes through strtod, so
+/// the accepted language and every value are strtod's.
 class CsvStreamParser {
  public:
   CsvStreamParser(CsvSpec spec, std::string origin);
@@ -54,9 +68,9 @@ class CsvStreamParser {
   size_t rows_parsed() const { return row_number_; }
 
  private:
-  bool ProcessLine(std::string line);
-  bool ProcessHeader(const std::string& line);
-  bool ProcessDataRow(const std::string& line);
+  bool ProcessLine(std::string_view line);
+  bool ProcessHeader(std::vector<std::string> header);
+  bool ProcessDataRow(std::string_view line);
   bool Fail(Status status);
 
   CsvSpec spec_;
@@ -70,6 +84,7 @@ class CsvStreamParser {
   std::vector<std::string> header_;
   std::vector<int> field_to_column_;  // CSV field index -> table column; -1 = skip
   std::vector<bool> field_is_dim_;
+  std::vector<std::string_view> fields_;  // the current row's fields, reused
   size_t row_number_ = 0;  // 1-based data row (header excluded)
 };
 

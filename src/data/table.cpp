@@ -64,7 +64,7 @@ std::vector<double>& Table::mutable_measure(int column) {
   return measures_[storage_index_[column]];
 }
 
-void Table::SetDim(int column, const std::string& value) {
+void Table::SetDim(int column, std::string_view value) {
   SetDimCode(column, mutable_dict(column).GetOrAdd(value));
 }
 
@@ -133,9 +133,9 @@ Status Table::FinishColumnLoad() {
   return Status::Ok();
 }
 
-Status Table::AppendRows(const Table& delta) {
-  // Validate the full schema up front so a failed append leaves the table
-  // untouched — the serving tier maps these errors to HTTP 400.
+Result<Table> Table::WithRowsAppended(const Table& delta) const {
+  // Validate the full schema up front — the serving tier maps these errors
+  // to HTTP 400.
   std::vector<int> delta_column(names_.size(), -1);
   for (int c = 0; c < num_columns(); ++c) {
     std::optional<int> dc = delta.FindColumn(names_[c]);
@@ -156,19 +156,27 @@ Status Table::AppendRows(const Table& delta) {
                                      delta.column_name(dc) + "'");
     }
   }
-  for (size_t row = 0; row < delta.num_rows(); ++row) {
-    for (int c = 0; c < num_columns(); ++c) {
-      int dc = delta_column[c];
-      if (is_dimension_[c]) {
-        DimColumn& dim = dims_[storage_index_[c]];
-        dim.codes.push_back(dim.dict.GetOrAdd(delta.dict(dc).name(delta.dim_codes(dc)[row])));
-      } else {
-        measures_[storage_index_[c]].push_back(delta.measure(dc)[row]);
+  const size_t rows = num_rows_ + delta.num_rows();
+  Table out = EmptyCopy();
+  out.num_rows_ = rows;
+  for (int c = 0; c < num_columns(); ++c) {
+    const int dc = delta_column[c];
+    const size_t s = static_cast<size_t>(storage_index_[c]);
+    if (is_dimension_[c]) {
+      DimColumn& dim = out.dims_[s];
+      dim.codes.reserve(rows);
+      dim.codes.assign(dims_[s].codes.begin(), dims_[s].codes.end());
+      for (int32_t code : delta.dim_codes(dc)) {
+        dim.codes.push_back(dim.dict.GetOrAdd(delta.dict(dc).name(code)));
       }
+    } else {
+      std::vector<double>& values = out.measures_[s];
+      values.reserve(rows);
+      values.assign(measures_[s].begin(), measures_[s].end());
+      values.insert(values.end(), delta.measure(dc).begin(), delta.measure(dc).end());
     }
   }
-  num_rows_ += delta.num_rows();
-  return Status::Ok();
+  return out;
 }
 
 bool Table::Matches(const RowFilter& filter, size_t row) const {
@@ -180,14 +188,7 @@ bool Table::Matches(const RowFilter& filter, size_t row) const {
 
 Table Table::FilteredCopy(const std::vector<bool>& keep) const {
   REPTILE_CHECK_EQ(keep.size(), num_rows_);
-  Table out;
-  out.names_ = names_;
-  out.is_dimension_ = is_dimension_;
-  out.storage_index_ = storage_index_;
-  out.row_set_.assign(names_.size(), false);
-  out.dims_.resize(dims_.size());
-  out.measures_.resize(measures_.size());
-  for (size_t d = 0; d < dims_.size(); ++d) out.dims_[d].dict = dims_[d].dict;
+  Table out = EmptyCopy();
   for (size_t row = 0; row < num_rows_; ++row) {
     if (!keep[row]) continue;
     for (size_t d = 0; d < dims_.size(); ++d) {
@@ -198,6 +199,18 @@ Table Table::FilteredCopy(const std::vector<bool>& keep) const {
     }
     ++out.num_rows_;
   }
+  return out;
+}
+
+Table Table::EmptyCopy() const {
+  Table out;
+  out.names_ = names_;
+  out.is_dimension_ = is_dimension_;
+  out.storage_index_ = storage_index_;
+  out.row_set_.assign(names_.size(), false);
+  out.dims_.resize(dims_.size());
+  out.measures_.resize(measures_.size());
+  for (size_t d = 0; d < dims_.size(); ++d) out.dims_[d].dict = dims_[d].dict;
   return out;
 }
 

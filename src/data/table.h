@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/status.h"
@@ -61,7 +62,7 @@ class Table {
 
   /// Row-building API: call the three setters for every column, then
   /// CommitRow(). Aborts if a column was not set.
-  void SetDim(int column, const std::string& value);
+  void SetDim(int column, std::string_view value);
   void SetDimCode(int column, int32_t code);
   void SetMeasure(int column, double value);
   void CommitRow();
@@ -74,16 +75,17 @@ class Table {
   Status SetMeasureColumnData(int column, std::vector<double> values);
   Status FinishColumnLoad();
 
-  /// Appends every row of `delta` to this table, matching columns BY NAME —
-  /// the delta's column order may differ (CSV loads columns in header
-  /// order). Dimension values are re-encoded through this table's
-  /// dictionaries (GetOrAdd), so existing values keep their codes and new
-  /// values take the next codes in first-appearance order — exactly the
-  /// assignment a from-scratch load of the concatenated data would produce.
+  /// A copy of this table with every row of `delta` appended, matching
+  /// columns BY NAME — the delta's column order may differ (CSV loads
+  /// columns in header order). Dimension values are re-encoded through this
+  /// table's dictionaries (GetOrAdd), so existing values keep their codes
+  /// and new values take the next codes in first-appearance order — exactly
+  /// the assignment a from-scratch load of the concatenated data would
+  /// produce. Each column is allocated once, at its final size.
   /// InvalidArgument naming the offending column when the delta's schema
   /// differs (missing column, extra column, dimension/measure kind
-  /// mismatch); a failed append leaves this table untouched.
-  Status AppendRows(const Table& delta);
+  /// mismatch).
+  Result<Table> WithRowsAppended(const Table& delta) const;
 
   /// True when the row passes the filter.
   bool Matches(const RowFilter& filter, size_t row) const;
@@ -104,6 +106,9 @@ class Table {
   std::vector<DimColumn> dims_;
   std::vector<std::vector<double>> measures_;
   std::vector<bool> row_set_;  // per column: set since last CommitRow
+
+  // This table's columns and dictionaries, with no rows.
+  Table EmptyCopy() const;
 };
 
 }  // namespace reptile

@@ -17,16 +17,16 @@ Result<ValueDict> ValueDict::FromNames(std::vector<std::string> names) {
   return dict;
 }
 
-int32_t ValueDict::GetOrAdd(const std::string& value) {
+int32_t ValueDict::GetOrAdd(std::string_view value) {
   auto it = codes_.find(value);
   if (it != codes_.end()) return it->second;
   int32_t code = static_cast<int32_t>(names_.size());
-  codes_.emplace(value, code);
-  names_.push_back(value);
+  codes_.emplace(std::string(value), code);
+  names_.emplace_back(value);
   return code;
 }
 
-std::optional<int32_t> ValueDict::Find(const std::string& value) const {
+std::optional<int32_t> ValueDict::Find(std::string_view value) const {
   auto it = codes_.find(value);
   if (it == codes_.end()) return std::nullopt;
   return it->second;

@@ -6,9 +6,12 @@
 #ifndef REPTILE_DATA_VALUE_DICT_H_
 #define REPTILE_DATA_VALUE_DICT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -25,11 +28,12 @@ class ValueDict {
   /// dictionary cannot contain them.
   static Result<ValueDict> FromNames(std::vector<std::string> names);
 
-  /// Returns the code for `value`, inserting it if absent.
-  int32_t GetOrAdd(const std::string& value);
+  /// Returns the code for `value`, inserting it if absent. A lookup of a
+  /// present value allocates nothing.
+  int32_t GetOrAdd(std::string_view value);
 
   /// Returns the code for `value` or std::nullopt when absent.
-  std::optional<int32_t> Find(const std::string& value) const;
+  std::optional<int32_t> Find(std::string_view value) const;
 
   /// The string for a code; the code must be valid.
   const std::string& name(int32_t code) const;
@@ -38,7 +42,16 @@ class ValueDict {
   int32_t size() const { return static_cast<int32_t>(names_.size()); }
 
  private:
-  std::unordered_map<std::string, int32_t> codes_;
+  // Transparent hash: codes_ is probed with a string_view (a CSV field in
+  // the parser's buffer) without building a std::string per lookup.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view value) const {
+      return std::hash<std::string_view>{}(value);
+    }
+  };
+
+  std::unordered_map<std::string, int32_t, NameHash, std::equal_to<>> codes_;
   std::vector<std::string> names_;
 };
 

@@ -1,8 +1,10 @@
 #include "factor/ftree.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/check.h"
+#include "common/hashing.h"
 
 namespace reptile {
 
@@ -24,16 +26,17 @@ FTree FTree::FromTable(const Table& table, const std::vector<int>& columns,
   std::vector<const std::vector<int32_t>*> codes;
   codes.reserve(columns.size());
   for (int c : columns) codes.push_back(&table.dim_codes(c));
-  std::vector<std::vector<int32_t>> paths;
-  paths.reserve(table.num_rows());
+  // Only the distinct paths are kept, so the sort in FromPaths runs over
+  // those and not over every row.
+  std::unordered_set<std::vector<int32_t>, CodeTupleHash> distinct;
   std::vector<int32_t> path(columns.size());
   for (size_t row = 0; row < table.num_rows(); ++row) {
     if (!filter.empty() && !table.Matches(filter, row)) continue;
     for (size_t l = 0; l < codes.size(); ++l) path[l] = (*codes[l])[row];
-    paths.push_back(path);
+    distinct.insert(path);
   }
-  REPTILE_CHECK(!paths.empty()) << "no rows match the filter";
-  return FromPaths(std::move(paths), depth);
+  REPTILE_CHECK(!distinct.empty()) << "no rows match the filter";
+  return FromPaths({distinct.begin(), distinct.end()}, depth);
 }
 
 FTree FTree::Singleton() {

@@ -41,7 +41,9 @@ class FTree {
   static FTree FromPaths(std::vector<std::vector<int32_t>> paths, int depth);
 
   /// Builds from the distinct value combinations of `columns` (least specific
-  /// first) over the rows of `table` matching `filter`.
+  /// first) over the rows of `table` matching `filter`. Only the distinct
+  /// paths are collected and sorted; the tree equals FromPaths over every
+  /// matching row's path.
   static FTree FromTable(const Table& table, const std::vector<int>& columns,
                          const RowFilter& filter = RowFilter());
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "data/csv.h"
@@ -15,26 +14,12 @@
 namespace reptile {
 namespace {
 
-// Mirrors the CSV parser's line handling (data/csv.cpp): first line up to
-// '\n', trailing '\r' stripped, UTF-8 BOM stripped, split on `separator`.
-std::vector<std::string> HeaderFields(const std::string& csv_text, char separator) {
-  std::string line = csv_text.substr(0, csv_text.find('\n'));
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line.rfind("\xEF\xBB\xBF", 0) == 0) line.erase(0, 3);
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream stream(line);
-  while (std::getline(stream, field, separator)) fields.push_back(field);
-  if (!line.empty() && line.back() == separator) fields.emplace_back();
-  return fields;
-}
-
 // The schema gate (column-level 400s): the append header must be exactly the
 // parent's column set. The CSV parser silently IGNORES header fields outside
 // its spec, so the unknown-column check has to happen here, before parsing.
 Status ValidateAppendHeader(const Table& parent, const std::string& csv_text,
                             char separator) {
-  std::vector<std::string> fields = HeaderFields(csv_text, separator);
+  std::vector<std::string> fields = SplitCsvHeader(csv_text, separator);
   for (int c = 0; c < parent.num_columns(); ++c) {
     if (std::find(fields.begin(), fields.end(), parent.column_name(c)) == fields.end()) {
       return Status::InvalidArgument("appended rows are missing column '" +
@@ -82,7 +67,7 @@ Result<AppendResult> AppendRowsCsv(const DatasetHandle& parent, const std::strin
   REPTILE_RETURN_IF_ERROR(ValidateAppendHeader(parent_table, csv_text, separator));
 
   // Parse the delta with the parent-derived spec; header order may differ,
-  // AppendRows matches by name.
+  // WithRowsAppended matches by name.
   CsvSpec spec;
   spec.separator = separator;
   for (int c = 0; c < parent_table.num_columns(); ++c) {
@@ -104,8 +89,9 @@ Result<AppendResult> AppendRowsCsv(const DatasetHandle& parent, const std::strin
   // Child table: parent rows first, delta re-encoded through the parent's
   // dictionaries — identical codes AND identical float summation order to a
   // from-scratch load of the concatenated CSV.
-  Table child_table = parent_table;
-  REPTILE_RETURN_IF_ERROR(child_table.AppendRows(*delta));
+  Result<Table> appended = parent_table.WithRowsAppended(*delta);
+  if (!appended.ok()) return appended.status();
+  Table child_table = std::move(appended).value();
 
   // Dirty analysis: walk each delta row down the parent's full-depth f-tree.
   // A row matching m levels dirties depths m+1..D; clean depths keep the

@@ -6,7 +6,7 @@
 // the chain — that structurally shares everything the delta did not touch:
 //
 //  * Columns and value-dict prefixes: the child table re-encodes the delta
-//    through the parent's dictionaries (Table::AppendRows), so existing
+//    through the parent's dictionaries (Table::WithRowsAppended), so existing
 //    values keep their codes and new values take the next codes in
 //    first-appearance order — exactly the assignment a from-scratch load of
 //    the concatenated CSV would produce. Appending parent rows first keeps

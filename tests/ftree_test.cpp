@@ -1,7 +1,11 @@
 // Tests for factor/ftree: construction, leaf counts (local COUNT aggregates),
 // ancestor lookups, leaf indexing, and cursor traversal.
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "data/table.h"
 #include "factor/ftree.h"
 #include "gtest/gtest.h"
 
@@ -103,6 +107,89 @@ TEST(FTree, FromTable) {
   filter.Add(d, *t.dict(d).Find("d1"));
   FTree filtered = FTree::FromTable(t, {d, v}, filter);
   EXPECT_EQ(filtered.num_leaves(), 1);
+}
+
+// FromTable keeps only the distinct paths of the matching rows; the tree must
+// equal FromPaths over every matching row's path.
+TEST(FTree, FromTableMatchesFromPaths) {
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed);
+    // Every fifth seed pads the dictionaries with values no row uses, then
+    // adds rows on the largest codes.
+    const bool pad = seed % 5 == 0;
+    const int depth = pad ? 4 : static_cast<int>(rng.UniformInt(1, 4));
+    Table t;
+    std::vector<int> columns;
+    for (int l = 0; l < depth; ++l) {
+      columns.push_back(t.AddDimensionColumn("a" + std::to_string(l)));
+    }
+    const int other = t.AddDimensionColumn("other");
+    const int m = t.AddMeasureColumn("m");
+    if (pad) {
+      for (int c : columns) {
+        for (int32_t k = 0; k < 1000; ++k) t.mutable_dict(c).GetOrAdd("pad" + std::to_string(k));
+      }
+    }
+    std::vector<int64_t> cardinality;
+    for (int l = 0; l < depth; ++l) cardinality.push_back(rng.UniformInt(1, 6));
+    const int64_t rows = rng.UniformInt(1, 200);
+    for (int64_t r = 0; r < rows; ++r) {
+      // Each level draws independently of its parent, so one value recurs
+      // under several parents: dirty functional dependencies.
+      for (int l = 0; l < depth; ++l) {
+        t.SetDim(columns[l], "v" + std::to_string(rng.UniformInt(0, cardinality[l] - 1)));
+      }
+      t.SetDim(other, "o" + std::to_string(rng.UniformInt(0, 2)));
+      t.SetMeasure(m, 0.0);
+      t.CommitRow();
+      if (rng.Bernoulli(0.3)) {  // an exact duplicate row
+        for (int c : columns) t.SetDimCode(c, t.dim_codes(c).back());
+        t.SetDimCode(other, t.dim_codes(other).back());
+        t.SetMeasure(m, 1.0);
+        t.CommitRow();
+      }
+    }
+    if (pad) {  // rows on the largest codes
+      for (int k = 0; k < 3; ++k) {
+        for (int c : columns) t.SetDimCode(c, t.dict(c).size() - 1 - k);
+        t.SetDimCode(other, 0);
+        t.SetMeasure(m, 0.0);
+        t.CommitRow();
+      }
+    }
+
+    std::vector<RowFilter> filters(1);
+    for (int f = 0; f < 2; ++f) {
+      const size_t row = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(t.num_rows()) - 1));
+      const int column = f == 0 ? other : columns[static_cast<size_t>(
+                                              rng.UniformInt(0, depth - 1))];
+      RowFilter filter;
+      filter.Add(column, t.dim_codes(column)[row]);
+      filters.push_back(filter);
+    }
+    for (size_t f = 0; f < filters.size(); ++f) {
+      std::vector<std::vector<int32_t>> paths;
+      for (size_t row = 0; row < t.num_rows(); ++row) {
+        if (!t.Matches(filters[f], row)) continue;
+        std::vector<int32_t> path;
+        for (int c : columns) path.push_back(t.dim_codes(c)[row]);
+        paths.push_back(path);
+      }
+      const FTree expected = FTree::FromPaths(paths, depth);
+      const FTree actual = FTree::FromTable(t, columns, filters[f]);
+      ASSERT_EQ(actual.depth(), expected.depth());
+      for (int l = 0; l < depth; ++l) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " filter " + std::to_string(f) +
+                     " level " + std::to_string(l));
+        EXPECT_EQ(actual.level(l).value, expected.level(l).value);
+        EXPECT_EQ(actual.level(l).parent, expected.level(l).parent);
+        EXPECT_EQ(actual.level(l).first_child, expected.level(l).first_child);
+        EXPECT_EQ(actual.level(l).num_children, expected.level(l).num_children);
+        EXPECT_EQ(actual.level(l).leaf_count, expected.level(l).leaf_count);
+      }
+    }
+  }
 }
 
 TEST(FTreeCursor, VisitsAllNodesInOrder) {

@@ -26,7 +26,9 @@ MixedData MakeMixedData(Rng* rng, int64_t clusters, int64_t per_cluster, double 
   data.y.resize(static_cast<size_t>(n));
   for (int64_t g = 0; g < clusters; ++g) {
     data.cluster_begin.push_back(g * per_cluster);
-    double u = rng->Normal(0.0, tau);
+    // std::normal_distribution requires a positive deviation: tau = 0 means
+    // no cluster effect at all, not a draw.
+    double u = tau > 0.0 ? rng->Normal(0.0, tau) : 0.0;
     for (int64_t i = 0; i < per_cluster; ++i) {
       int64_t row = g * per_cluster + i;
       double xv = rng->Normal(0.0, 1.0);

@@ -234,6 +234,51 @@ TEST(AppendRowsCsv, SchemaChangingAppendsAreRejectedByColumn) {
   EXPECT_EQ(reordered->dirty_from[kGeo], 2);
 }
 
+// The schema gate and the parser split a header the same way
+// (SplitCsvHeader): an exported delta with a BOM, CRLF line endings and its
+// columns reordered appends exactly like the plain LF delta in the dataset's
+// own column order.
+TEST(AppendRowsCsv, BomCrlfAndReorderedHeaderAppendLikeThePlainDelta) {
+  Result<DatasetHandle> v1 = PreparedDataset::Prepare(MakePanel());
+  ASSERT_TRUE(v1.ok());
+  const std::string plain =
+      "district,village,year,severity\n"
+      "d0,d0_x,y0,5.5\n"
+      "d2,d2_v1,y9,6.25\n";
+  const std::string exported =
+      "\xEF\xBB\xBF" "year,severity,village,district\r\n"
+      "y0,5.5,d0_x,d0\r\n"
+      "y9,6.25,d2_v1,d2\r\n";
+  Result<AppendResult> a = AppendRowsCsv(*v1, plain);
+  Result<AppendResult> b = AppendRowsCsv(*v1, exported);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->appended_rows, 2u);
+  EXPECT_EQ(b->total_rows, a->total_rows);
+  EXPECT_EQ(b->dirty_from, a->dirty_from);
+  EXPECT_EQ(b->dirty_from[kGeo], 2);   // a new village under a known district
+  EXPECT_EQ(b->dirty_from[kTime], 1);  // a new year
+  EXPECT_EQ(b->invalidated_entries, a->invalidated_entries);
+  EXPECT_EQ(b->shared_entries, a->shared_entries);
+  const Table& want = a->child->table();
+  const Table& got = b->child->table();
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (int c = 0; c < want.num_columns(); ++c) {
+    EXPECT_EQ(got.column_name(c), want.column_name(c));
+    ASSERT_EQ(got.is_dimension(c), want.is_dimension(c));
+    if (!want.is_dimension(c)) {
+      EXPECT_EQ(got.measure(c), want.measure(c));
+      continue;
+    }
+    EXPECT_EQ(got.dim_codes(c), want.dim_codes(c));
+    ASSERT_EQ(got.dict(c).size(), want.dict(c).size());
+    for (int32_t code = 0; code < want.dict(c).size(); ++code) {
+      EXPECT_EQ(got.dict(c).name(code), want.dict(c).name(code));
+    }
+  }
+}
+
 // The tentpole differential: every version built incrementally must answer
 // byte-identically to a COLD dataset built from the concatenated CSV — at
 // the shallow state and after drilling into the dirtied hierarchy.
