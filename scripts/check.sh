@@ -131,6 +131,9 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   # pipefail a still-writing curl then dies with EPIPE (exit 23). Plain grep
   # reads to EOF, and >/dev/null keeps the gate silent.
   curl -fsS "http://127.0.0.1:$PORT/healthz" | grep '"status":"ok"' >/dev/null
+  # ...and carries the front end's transport counters.
+  curl -fsS "http://127.0.0.1:$PORT/healthz" \
+    | grep -E '"transport":\{[^}]*"requests_dispatched":[0-9]+' >/dev/null
   # The Prometheus endpoint serves the request-latency histogram, and a
   # client-supplied X-Request-Id is echoed back on the response.
   curl -fsS "http://127.0.0.1:$PORT/metricsz" \
@@ -219,21 +222,34 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   trap - EXIT
   echo "--- server smoke passed"
 
-  echo "--- reactor smoke: reptile_serve --reactor with auth + streamed upload"
-  REACTOR_LOG="$(mktemp)"
-  "$BUILD_DIR/reptile_serve" --demo --reactor --port 0 --http-threads 2 \
-      --auth-token smoke-tok > "$REACTOR_LOG" 2>&1 &
-  REACTOR_PID=$!
-  trap 'kill -9 "$REACTOR_PID" 2>/dev/null || true' EXIT
+  echo "--- server smoke: a junk numeric flag value exits 2 with the usage text"
+  # A junk value must not be read as 0, which several flags define as
+  # "unlimited". The timeout catches a server that started anyway (exit
+  # 124, not 2).
+  for BAD in "--max-body-bytes abc" "--rate-limit-rps xyz"; do
+    RC=0
+    # shellcheck disable=SC2086
+    timeout 10 "$BUILD_DIR/reptile_serve" --demo --port 0 $BAD \
+        >/dev/null 2>"$BUILD_DIR/bad_flag.err" || RC=$?
+    [[ "$RC" == "2" ]] || { echo "FAIL: reptile_serve $BAD exited $RC, want 2" >&2; exit 1; }
+    grep '^usage:' "$BUILD_DIR/bad_flag.err" >/dev/null
+  done
+
+  echo "--- auth + streamed-upload smoke: reptile_serve --auth-token"
+  AUTH_LOG="$(mktemp)"
+  "$BUILD_DIR/reptile_serve" --demo --port 0 --http-threads 2 \
+      --auth-token smoke-tok > "$AUTH_LOG" 2>&1 &
+  AUTH_PID=$!
+  trap 'kill -9 "$AUTH_PID" 2>/dev/null || true' EXIT
   RPORT=""
   for _ in $(seq 1 100); do
-    RPORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$REACTOR_LOG")"
+    RPORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$AUTH_LOG")"
     [[ -n "$RPORT" ]] && break
-    kill -0 "$REACTOR_PID" 2>/dev/null || { cat "$REACTOR_LOG"; exit 1; }
+    kill -0 "$AUTH_PID" 2>/dev/null || { cat "$AUTH_LOG"; exit 1; }
     sleep 0.1
   done
-  [[ -n "$RPORT" ]] || { echo "reactor server never reported its port"; cat "$REACTOR_LOG"; exit 1; }
-  # /healthz is auth-exempt and must surface the reactor's transport counters.
+  [[ -n "$RPORT" ]] || { echo "auth server never reported its port"; cat "$AUTH_LOG"; exit 1; }
+  # /healthz is auth-exempt and must surface the transport counters.
   curl -fsS "http://127.0.0.1:$RPORT/healthz" | grep '"transport":{"open_connections"' >/dev/null
   # Mutating routes require the bearer token: 401 without, 201 with — and the
   # with-token path is a text/csv body streamed straight into the parser.
@@ -248,18 +264,17 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   curl -fsS -X POST "http://127.0.0.1:$RPORT/v1/recommend" \
       -d '{"dataset":"s","complaint":{"aggregate":"mean","measure":"m","where":[{"column":"y","value":"y0"}]}}' \
     | grep '"best_index"' >/dev/null
-  # /metricsz works on the reactor front end too, including the transport
-  # counters only this front end produces.
+  # /metricsz re-exports the transport counters as gauges.
   curl -fsS "http://127.0.0.1:$RPORT/metricsz" \
     | grep 'reptile_transport_requests_dispatched' >/dev/null
 
-  echo "--- reactor smoke: streamed append lifecycle on the event-driven front end"
+  echo "--- auth + streamed-upload smoke: streamed append lifecycle"
   # Pin a session to version 1, then append a raw text/csv body streamed
   # straight into the parser. Appends are mutations: 401 without the token.
   RPIN="$(curl -fsS -X POST -H 'Authorization: Bearer smoke-tok' \
       "http://127.0.0.1:$RPORT/v1/sessions" -d '{"dataset":"s","committed":{"time":1}}' \
     | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')"
-  [[ -n "$RPIN" ]] || { echo "reactor pinned session create returned no id"; exit 1; }
+  [[ -n "$RPIN" ]] || { echo "pinned session create returned no id"; exit 1; }
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
         -H 'Content-Type: text/csv' --data-binary $'d,y,m\nd2,y0,9\n' \
         "http://127.0.0.1:$RPORT/v1/datasets/s/rows")" == "401" ]]
@@ -283,10 +298,10 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
         "http://127.0.0.1:$RPORT/v1/recommend" \
         -d '{"dataset":"s@v2","complaint":{"aggregate":"count"}}')" == "404" ]]
-  kill -TERM "$REACTOR_PID"
-  wait "$REACTOR_PID"
+  kill -TERM "$AUTH_PID"
+  wait "$AUTH_PID"
   trap - EXIT
-  echo "--- reactor smoke passed"
+  echo "--- auth + streamed-upload smoke passed"
 
   echo "--- loadgen: schedule determinism (same seed => identical bytes)"
   # The schedule is a pure function of (scenario, seed): two dump runs must

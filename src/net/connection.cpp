@@ -12,7 +12,9 @@
 namespace reptile {
 
 namespace {
-// Same lingering-close bounds the thread-per-connection server uses.
+// Lingering-close bounds: after an error response, drain at most this much
+// of the unread request (so the client sees the response, not a reset) for
+// at most this long.
 constexpr size_t kMaxDrainBytes = 16 * 1024 * 1024;
 constexpr std::chrono::seconds kDrainDeadline{5};
 // Per-EPOLLIN fairness cap: after this many recv() calls yield the loop so
@@ -92,8 +94,8 @@ void Connection::HandleReadable() {
       return;
     }
     if (n == 0) {
-      // Orderly EOF — between requests or mid-request, the threaded server
-      // closes silently in both cases; match it.
+      // Orderly EOF — between requests or mid-request, close silently:
+      // there is no one left to answer.
       Close();
       return;
     }
@@ -136,8 +138,7 @@ void Connection::AdvanceParser() {
             sink_ = std::move(sink);
             streamed_upload_ = true;
             // The stream position is unrecoverable if the sink aborts
-            // mid-body, so streamed uploads always close afterwards — the
-            // same policy as the threaded front end.
+            // mid-body, so streamed uploads always close afterwards.
             keep_alive_ = false;
             parser_.BeginStreamedBody(sink_.get(),
                                       server_->options_.max_stream_body_bytes);
@@ -149,6 +150,10 @@ void Connection::AdvanceParser() {
       }
       case HttpRequestParser::Phase::kComplete:
         if (streamed_upload_) {
+          // Finish() (the dataset build or the append) runs here on the
+          // loop thread, so every other connection waits while it runs.
+          // Moving it to the handler pool was measured to slow appends, so
+          // it stays until that cost is removed.
           HttpResponse response = sink_->Finish(/*complete=*/true);
           sink_.reset();
           streamed_upload_ = false;
@@ -333,8 +338,8 @@ void Connection::OnTick(std::chrono::steady_clock::time_point now) {
       const int idle = server_->options_.idle_timeout_seconds;
       if (idle > 0 && now - last_read_progress_ >= std::chrono::seconds(idle)) {
         if (state_ == State::kReadHead && reading_request_) {
-          // Slow-loris: a partial head past the deadline gets the 408 the
-          // threaded server sends; an idle keep-alive closes silently.
+          // Slow-loris: a partial head past the deadline gets a 408; an
+          // idle keep-alive closes silently.
           EnterDraining(HttpFramingError(408, "timed out reading the request"));
         } else {
           Close();

@@ -15,8 +15,8 @@
 //
 // While a handler is in flight the connection's read interest is masked
 // off, so a client pipelining requests cannot get two handlers running on
-// one connection — the same one-request-at-a-time semantics the
-// thread-per-connection server has by construction.
+// one connection: requests on a connection are answered one at a time, in
+// order.
 //
 // Writes are queued and flushed as EPOLLOUT allows. The queue is bounded by
 // a high-water mark: streamed responses stop pulling pieces until the queue

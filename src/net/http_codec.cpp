@@ -64,6 +64,13 @@ HttpResponse HttpFramingError(int status, const std::string& message) {
                   ",\"message\":" + JsonQuote(message) + "}}");
 }
 
+namespace {
+
+// Parses the head (request line + headers, `head` ends with CRLFCRLF).
+// Strict by design: exactly three request-line tokens, HTTP/1.0|1.1 only,
+// obsolete line folding and whitespace-in-field-name rejected (RFC 9112 §5
+// — lenient parsing behind a strict proxy is a request-smuggling desync).
+// On failure fills `error` with the response to send before closing.
 bool ParseHttpRequestHead(const std::string& head, HttpRequest* request,
                           HttpResponse* error) {
   size_t line_end = head.find("\r\n");
@@ -120,6 +127,12 @@ bool ParseHttpRequestHead(const std::string& head, HttpRequest* request,
   return true;
 }
 
+// Framing checks that need the parsed head: Transfer-Encoding on a request
+// is refused (501), duplicate Content-Length headers are refused even when
+// identical (400, RFC 9112 §6.3), and Content-Length must be digits only —
+// strtoull would silently wrap "-1" to a huge unsigned value. Body-size
+// caps are NOT applied here; they depend on how the body will be consumed
+// (buffered vs streamed into a sink).
 bool ValidateRequestFraming(const HttpRequest& request, size_t* content_length,
                             HttpResponse* error) {
   if (request.FindHeader("transfer-encoding") != nullptr) {
@@ -157,11 +170,14 @@ bool ValidateRequestFraming(const HttpRequest& request, size_t* content_length,
   return true;
 }
 
+// The 413 for a declared body over the cap.
 HttpResponse BodyTooLargeError(size_t content_length, size_t max_body_bytes) {
   return HttpFramingError(413, "request body of " + std::to_string(content_length) +
                                    " bytes exceeds the " +
                                    std::to_string(max_body_bytes) + "-byte limit");
 }
+
+}  // namespace
 
 HttpResponse RateLimitedError(double retry_after_seconds) {
   // Integral ceiling, floored at 1: Retry-After is delta-seconds (RFC 9110
@@ -235,10 +251,9 @@ void HttpRequestParser::Feed(std::string_view data) {
 HttpRequestParser::Phase HttpRequestParser::Step() {
   switch (phase_) {
     case Phase::kHead: {
-      // Same scan the blocking reader uses: resume 3 bytes before the new
-      // data so a CRLFCRLF split across reads is still found, and apply the
-      // header cap both to an oversized terminated head and to an
-      // unterminated one that already exceeds the cap.
+      // Resume 3 bytes before the new data so a CRLFCRLF split across
+      // reads is still found, and apply the header cap both to an oversized
+      // terminated head and to an unterminated one that already exceeds it.
       size_t pos = buffer_.find("\r\n\r\n", scanned_ >= 3 ? scanned_ - 3 : 0);
       if (pos == std::string::npos) {
         if (buffer_.size() > max_header_bytes_) {

@@ -1,13 +1,7 @@
-// Shared HTTP/1.1 framing: request-head parsing, framing validation,
-// response-head serialization, and chunked transfer encoding. Both front
-// ends — the thread-per-connection server and the epoll reactor — call
-// these exact functions, so a framing rule (smuggling hardening, size caps,
-// reason phrases) cannot drift between them; the loopback differential
-// suite in tests/net_test.cpp then proves the composed behavior equal.
-//
-// The blocking server drives the free functions directly; the reactor
-// drives the same functions through HttpRequestParser, an incremental
-// state machine fed whatever bytes epoll delivers.
+// HTTP/1.1 framing for the epoll reactor (net/reactor_server.h): request
+// parsing through HttpRequestParser, an incremental state machine fed
+// whatever bytes epoll delivers, plus response-head serialization, chunked
+// transfer encoding and the transport error envelopes.
 
 #ifndef REPTILE_NET_HTTP_CODEC_H_
 #define REPTILE_NET_HTTP_CODEC_H_
@@ -24,30 +18,9 @@ namespace reptile {
 /// routing layer's shape: {"error":{"code":...,"http":N,"message":...}}.
 HttpResponse HttpFramingError(int status, const std::string& message);
 
-/// Parses the head (request line + headers, `head` ends with CRLFCRLF).
-/// Strict by design: exactly three request-line tokens, HTTP/1.0|1.1 only,
-/// obsolete line folding and whitespace-in-field-name rejected (RFC 9112 §5
-/// — lenient parsing behind a strict proxy is a request-smuggling desync).
-/// On failure fills `error` with the response to send before closing.
-bool ParseHttpRequestHead(const std::string& head, HttpRequest* request,
-                          HttpResponse* error);
-
-/// Framing checks that need the parsed head: Transfer-Encoding on a request
-/// is refused (501), duplicate Content-Length headers are refused even when
-/// identical (400, RFC 9112 §6.3), and Content-Length must be digits only —
-/// strtoull would silently wrap "-1" to a huge unsigned value. Body-size
-/// caps are NOT applied here; they depend on how the body will be consumed
-/// (buffered vs streamed into a sink).
-bool ValidateRequestFraming(const HttpRequest& request, size_t* content_length,
-                            HttpResponse* error);
-
-/// The 413 for a declared body over the cap, shared so both front ends emit
-/// identical bytes.
-HttpResponse BodyTooLargeError(size_t content_length, size_t max_body_bytes);
-
 /// The 429 for a request refused by admission rate limiting (code
 /// RATE_LIMITED), carrying a Retry-After header of ceil(retry_after_seconds)
-/// (at least 1). Shared so both front ends emit identical bytes.
+/// (at least 1).
 HttpResponse RateLimitedError(double retry_after_seconds);
 
 /// The 503 for a request shed because it sat in the compute-pool queue past
@@ -75,7 +48,7 @@ inline constexpr char kHttpLastChunk[] = "0\r\n\r\n";
 /// Connection header overrides either way.
 bool RequestKeepsAlive(const HttpRequest& request);
 
-/// Incremental request parser for event-driven front ends. Feed it whatever
+/// Incremental request parser for the event-driven front end. Feed it whatever
 /// bytes arrive; it pauses at two decision points:
 ///
 ///   kHeadDone  — head parsed and framing validated. The caller inspects
@@ -91,8 +64,11 @@ bool RequestKeepsAlive(const HttpRequest& request);
 /// kSinkAborted means the sink refused further bytes — the caller stops
 /// feeding, drains briefly, writes sink->Finish(false), and closes.
 ///
-/// The head scan, size-cap rules, and error bytes are identical to the
-/// blocking server's: both paths call the same free functions above.
+/// The head scan is strict (RFC 9112: exactly three request-line tokens,
+/// HTTP/1.0|1.1 only, no obsolete line folding or whitespace in a field
+/// name), a request Transfer-Encoding is a 501, and a duplicate or
+/// non-digit Content-Length is a 400 — lenient parsing behind a strict proxy
+/// is a request-smuggling desync.
 class HttpRequestParser {
  public:
   explicit HttpRequestParser(size_t max_header_bytes);

@@ -1,8 +1,8 @@
-// Transport-agnostic HTTP message types shared by every front end: the
-// thread-per-connection server (server/http_server.h), the epoll reactor
-// (net/reactor_server.h), and the in-tree client. The routing layer
-// (server/service.h) speaks only these types, so a handler cannot tell — and
-// must not care — which front end parsed its request.
+// Transport-agnostic HTTP message types shared by the epoll reactor front
+// end (net/reactor_server.h) and the in-tree client. The routing layer
+// (server/service.h) speaks only these types, so it can be called in
+// process — as the tests do to get reference bytes — exactly as the front
+// end calls it.
 //
 // Bodies travel two ways:
 //  * Buffered (the default): HttpRequest::body / HttpResponse::body hold the

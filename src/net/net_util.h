@@ -1,6 +1,7 @@
-// Internal socket/string helpers shared by every HTTP front end and the
-// in-tree client, so fixes to send/header handling cannot silently diverge
-// between them. Not part of the installed surface.
+// Internal socket/string helpers shared by the HTTP framing code
+// (net/http_codec.cpp) and the in-tree client (server/http_client.h), so
+// fixes to send/header handling cannot silently diverge between them. Not
+// part of the installed surface.
 
 #ifndef REPTILE_NET_NET_UTIL_H_
 #define REPTILE_NET_NET_UTIL_H_

@@ -27,13 +27,7 @@ ReactorServer::ReactorServer(ReactorServerOptions options, HttpHandler handler)
     limiter_ = std::make_unique<TokenBucket>(options_.rate_limit_rps,
                                              options_.rate_limit_burst);
   }
-  if (options_.handler_pool != nullptr) {
-    pool_ = options_.handler_pool;
-  } else {
-    int threads = options_.num_threads < 1 ? 1 : options_.num_threads;
-    owned_pool_ = std::make_unique<ThreadPool>(threads);
-    pool_ = owned_pool_.get();
-  }
+  pool_ = std::make_unique<ThreadPool>(options_.num_threads < 1 ? 1 : options_.num_threads);
 }
 
 ReactorServer::~ReactorServer() { Stop(); }
@@ -145,7 +139,7 @@ void ReactorServer::Stop() {
   loop_.Stop();
   if (loop_thread_.joinable()) loop_thread_.join();
   connections_.clear();
-  owned_pool_.reset();  // joins handler workers (all tasks completed in 2.)
+  pool_.reset();  // joins handler workers (all tasks completed in 2.)
   // started_ stays true: a stopped server cannot be restarted.
 }
 

@@ -1,15 +1,13 @@
-// Event-driven HTTP/1.1 front end: one epoll reactor thread owns every
-// connection (see net/connection.h), complete parsed requests are handed to
-// a compute thread pool, and responses hop back to the loop via Post().
-// Drop-in alternative to the thread-per-connection server
-// (server/http_server.h): same handler signature, same framing code
-// (net/http_codec.h), byte-identical bodies — tests/net_test.cpp runs the
-// two differentially.
+// The HTTP/1.1 front end of reptile_serve: one epoll reactor thread owns
+// every connection (see net/connection.h), complete parsed requests are
+// handed to a compute thread pool, and responses hop back to the loop via
+// Post(). Framing lives in net/http_codec.h; tests/net_test.cpp compares the
+// bytes on the wire against ReptileService::Handle called in process.
 //
-// What the reactor buys over thread-per-connection:
+// Design:
 //  * An idle or slow client costs a few KB of connection state, not a
-//    blocked pool thread — thousands of keep-alive connections are fine
-//    with a fixed thread count (1 loop thread + num_threads workers).
+//    blocked thread — thousands of keep-alive connections are fine with a
+//    fixed thread count (1 loop thread + num_threads workers).
 //  * Backpressure is explicit: per-connection write queues are bounded by a
 //    high-water mark; streamed responses pause instead of ballooning, and
 //    clients that stop reading are disconnected (slow_client_disconnects).
@@ -46,7 +44,7 @@ class ThreadPool;  // parallel/thread_pool.h
 struct ReactorServerOptions {
   std::string bind_address = "127.0.0.1";
   int port = 0;         // 0 = ephemeral; the bound port is port()
-  int num_threads = 4;  // handler (compute) workers when the server owns its pool
+  int num_threads = 4;  // handler (compute) workers
   size_t max_header_bytes = 64 * 1024;
   size_t max_body_bytes = 8 * 1024 * 1024;
   // Cap for request bodies consumed through `stream_factory` sinks (they
@@ -56,8 +54,9 @@ struct ReactorServerOptions {
   // for receiving a complete request head — the slow-loris bound). 0 = off.
   int idle_timeout_seconds = 30;
   // After this many responses on one connection the server answers with
-  // "Connection: close" and closes — same knob as
-  // HttpServerOptions::max_requests_per_connection. 0 = unlimited.
+  // "Connection: close" and closes — bounds per-connection resource drift
+  // and redistributes long-lived clients across a load-balanced fleet.
+  // 0 = unlimited.
   int64_t max_requests_per_connection = 0;
   // A connection whose write queue makes no progress for this long is
   // disconnected as a slow client. 0 = off.
@@ -71,7 +70,8 @@ struct ReactorServerOptions {
   // Admission rate limit in requests/second over dispatched API requests
   // (streamed uploads and the /healthz + /metricsz probes are exempt).
   // Refusals get the shared 429 RATE_LIMITED envelope with Retry-After and
-  // keep the connection open. Same knob as HttpServerOptions::rate_limit_rps.
+  // keep the connection open — a limited client should retry, not
+  // reconnect. 0 = unlimited.
   double rate_limit_rps = 0.0;
   // Bucket depth for the limiter; <= 0 defaults to max(rate_limit_rps, 1).
   double rate_limit_burst = 0.0;
@@ -84,12 +84,8 @@ struct ReactorServerOptions {
   int tick_interval_ms = 100;
   // Optional hook consulted once a request head is parsed: return a sink to
   // stream the body instead of buffering it (see net/http_message.h). Sinks
-  // run on the loop thread; keep Append() cheap.
+  // run on the loop thread, Finish() included; keep Append() cheap.
   HttpStreamFactory stream_factory;
-  // Optional externally owned pool for handler tasks. Handlers must never
-  // submit compute work back to this pool (results can't complete behind
-  // blocked handler tasks); nullptr = the server creates its own pool.
-  ThreadPool* handler_pool = nullptr;
 };
 
 class ReactorServer {
@@ -139,8 +135,9 @@ class ReactorServer {
   ReactorServerOptions options_;
   HttpHandler handler_;
   std::unique_ptr<class TokenBucket> limiter_;  // null when rate_limit_rps <= 0
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  // Handler workers. Owned, so a handler's compute fan-out on the engine's
+  // pool can never queue behind blocked handler tasks.
+  std::unique_ptr<ThreadPool> pool_;
 
   EventLoop loop_;
   std::thread loop_thread_;

@@ -1,12 +1,13 @@
-// Token-bucket admission rate limiter shared by both HTTP front ends
-// (server/http_server.h and net/reactor_server.h): a bucket of `burst`
-// tokens refilled at `rate_per_second`, one token per admitted request.
+// Token-bucket admission rate limiter of the HTTP front end
+// (net/reactor_server.h): a bucket of `burst` tokens refilled at
+// `rate_per_second`, one token per admitted request.
 // Rejections report how long until a token will exist, which the shared
 // RateLimitedError (net/http_codec.h) turns into a Retry-After header.
 //
 // The clocked core (TryAcquireAt) is pure in (state, now) so tests drive it
-// with a manual clock; TryAcquire samples steady_clock. Thread-safe: the
-// thread-per-connection server acquires from many workers at once.
+// with a manual clock; TryAcquire samples steady_clock. Thread-safe behind
+// a mutex, so a caller need not know which thread admits requests; the
+// reactor acquires from its loop thread.
 
 #ifndef REPTILE_NET_TOKEN_BUCKET_H_
 #define REPTILE_NET_TOKEN_BUCKET_H_

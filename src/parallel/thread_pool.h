@@ -85,9 +85,9 @@ class ThreadPool {
 /// it are safe (each call carries its own completion latch).
 ///
 /// Only submit short-lived compute tasks: a task that blocks indefinitely
-/// (e.g. socket reads — see server/http_server.h, which owns a separate
-/// connection pool for exactly this reason) would starve every other client
-/// of the shared workers. Components that need a specific width or isolation
+/// (e.g. an HTTP handler — net/reactor_server.h owns a separate handler
+/// pool for exactly this reason) would starve every other client of the
+/// shared workers. Components that need a specific width or isolation
 /// opt out by constructing their own ThreadPool.
 ThreadPool* SharedThreadPool();
 

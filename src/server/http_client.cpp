@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "server/net_util.h"
+#include "net/net_util.h"
 
 namespace reptile {
 namespace {

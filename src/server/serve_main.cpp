@@ -6,7 +6,13 @@
 //       --hierarchy geo=district,village --hierarchy time=year
 //       --commit time --port 8080
 //
-// Flags:
+// The front end is the epoll reactor (net/reactor_server.h): one event
+// thread owns every connection, --http-threads compute workers run the
+// handlers, and an idle or slow client costs a few KB of state, not a thread.
+//
+// Flags (every numeric value is parsed strictly: trailing junk, a negative
+// count, size or duration, a non-finite number or a value outside the
+// flag's type exits 2 with the usage text):
 //   --csv PATH            load the dataset from a CSV file (header row; see
 //                         data/csv.h for the format contract)
 //   --name NAME           dataset name on the wire (default "default")
@@ -20,7 +26,7 @@
 //                         pre-committed, so year-scoped complaints work
 //                         out of the box)
 //   --port N              listen port (default 8080; 0 = ephemeral, printed)
-//   --http-threads N      connection workers (default 4)
+//   --http-threads N      handler (compute) workers (default 4)
 //   --engine-threads N    per-call engine fan-out (default 0 = hardware)
 //   --top-k N             groups returned per candidate (default 5)
 //   --max-body-bytes N    request body cap (default 8 MiB)
@@ -43,44 +49,36 @@
 //                         entries are evicted (default 0 = unlimited)
 //   --max-requests-per-connection N
 //                         close a keep-alive connection (with
-//                         "Connection: close") after N responses, both
-//                         front ends (default 0 = unlimited)
+//                         "Connection: close") after N responses
+//                         (default 0 = unlimited)
 //   --max-sessions N      cap on live per-client sessions (default 1024,
 //                         0 = unlimited; exceeding it is HTTP 409)
 //   --max-datasets N      cap on registered datasets (default 64, same deal)
-//   --reactor             serve with the epoll reactor front end
-//                         (net/reactor_server.h): 1 event thread owns every
-//                         connection, --http-threads compute workers, slow
-//                         clients cost KBs not threads. Default: the
-//                         thread-per-connection front end. Either way the
-//                         bodies on the wire are byte-identical.
 //   --auth-token T        require "Authorization: Bearer T" on mutating
 //                         routes (dataset/session create+delete, commit);
 //                         reads and /healthz stay open. Default: no auth.
 //   --stream-threshold N  stream recommend_batch bodies of >= N bytes
 //                         (chunked on HTTP/1.1) instead of buffering them
 //                         (default: off)
-//   --max-connections N   reactor only: 503 new connections past N open
+//   --max-connections N   503 new connections past N open
 //                         (default 0 = unlimited)
 //   --rate-limit-rps R    admission token bucket: past R requests/second
 //                         (sustained) API requests get 429 RATE_LIMITED with
-//                         Retry-After, both front ends; /healthz, /metricsz
-//                         and streamed csv uploads are exempt (default 0 =
-//                         unlimited)
+//                         Retry-After; /healthz, /metricsz and streamed csv
+//                         uploads are exempt (default 0 = unlimited)
 //   --rate-limit-burst B  bucket depth for --rate-limit-rps: up to B
 //                         requests are admitted back-to-back before the
 //                         sustained rate applies (default 2*R)
-//   --queue-deadline-ms N shed work that waited > N ms behind busy workers
-//                         with 503 OVERLOADED instead of serving it late:
-//                         per-request in the reactor's handler queue,
-//                         per-connection in the threaded accept queue
-//                         (default 0 = never shed)
-//   --idle-timeout S      reactor only: drop connections idle > S seconds
-//                         (slow-loris bound; default 30, 0 = never)
-//   --write-stall S       reactor only: drop clients whose reads make no
-//                         progress for S seconds (default 10, 0 = never)
-//   --high-water-bytes N  reactor only: per-connection write-queue cap;
-//                         streamed responses pause above it (default 1 MiB)
+//   --queue-deadline-ms N shed a request that waited > N ms in the handler
+//                         queue with 503 OVERLOADED instead of serving it
+//                         late; the connection stays open (default 0 =
+//                         never shed)
+//   --idle-timeout S      drop connections idle > S seconds (slow-loris
+//                         bound; default 30, 0 = never)
+//   --write-stall S       drop clients whose reads make no progress for S
+//                         seconds (default 10, 0 = never)
+//   --high-water-bytes N  per-connection write-queue cap; streamed
+//                         responses pause above it (default 1 MiB)
 //   --log-level L         structured-log threshold: debug|info|warn|error|off
 //                         (default info; debug logs one JSON line per
 //                         request). Lines are JSON objects, one per line,
@@ -92,10 +90,9 @@
 //                         GET /v1/debug/requests (bearer-gated when
 //                         --auth-token is set; default 0 = route disabled)
 //
-// In both modes POST /v1/datasets accepts a streamed text/csv body (typing
-// in the query string — see server/service.h) fed incrementally through
-// CsvStreamParser, and /healthz carries the front end's transport counters
-// under "transport" (both front ends; the reactor exports more of them).
+// POST /v1/datasets accepts a streamed text/csv body (typing in the query
+// string — see server/service.h) fed incrementally through CsvStreamParser,
+// and /healthz carries the reactor's transport counters under "transport".
 //
 // Datasets loaded at startup (--demo / --csv) are registered in the shared
 // DatasetRegistry with a default session each (the deprecated
@@ -107,14 +104,17 @@
 // requests, and exits 0 — scripts/check.sh's smoke stage asserts that.
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -128,7 +128,6 @@
 #include "obs/build_info.h"
 #include "obs/log.h"
 #include "reptile/reptile.h"
-#include "server/http_server.h"
 #include "server/service.h"
 
 namespace reptile {
@@ -184,14 +183,13 @@ struct Args {
   std::string dataset_root;
   std::string snapshot_dir;
   size_t cache_budget_mb = 0;
-  long max_requests_per_connection = 0;
-  long max_sessions = 1024;
-  long max_datasets = 64;
+  int64_t max_requests_per_connection = 0;
+  int64_t max_sessions = 1024;
+  int64_t max_datasets = 64;
   size_t max_body_bytes = 8 * 1024 * 1024;
-  bool reactor = false;
   std::string auth_token;
   size_t stream_threshold = SIZE_MAX;  // off
-  long max_connections = 0;
+  int64_t max_connections = 0;
   double rate_limit_rps = 0.0;
   double rate_limit_burst = 0.0;
   int queue_deadline_ms = 0;
@@ -201,7 +199,7 @@ struct Args {
   std::string log_level = "info";
   std::string log_file;
   double slow_request_ms = 0.0;
-  long debug_requests = 0;
+  int64_t debug_requests = 0;
 };
 
 [[noreturn]] void Usage(const char* argv0) {
@@ -211,7 +209,7 @@ struct Args {
                "[--port P] [--http-threads N] [--engine-threads N] [--top-k K] "
                "[--session-ttl S] [--dataset-root DIR] [--max-sessions N] "
                "[--max-datasets N] [--max-body-bytes N] [--separator C] "
-               "[--reactor] [--auth-token T] [--stream-threshold N] "
+               "[--auth-token T] [--stream-threshold N] "
                "[--max-connections N] [--rate-limit-rps R] "
                "[--rate-limit-burst B] [--queue-deadline-ms N] "
                "[--idle-timeout S] [--write-stall S] "
@@ -221,6 +219,32 @@ struct Args {
                "[--debug-requests N]\n",
                argv0);
   std::exit(2);
+}
+
+// Strict parse of a numeric flag value: the whole string must be a T (an
+// integer for integral T; no sign for unsigned T) that is finite and lies in
+// [lo, hi], or the process prints what the flag wants and exits 2 with the
+// usage text. An atoi-style parse would read a typo as 0, which several
+// flags define as "unlimited".
+template <typename T>
+T NumberFlag(const char* argv0, const std::string& flag, const std::string& value, T lo,
+             T hi) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  bool ok = error == std::errc() && stop == end && parsed >= lo && parsed <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+  if (!ok) {
+    if constexpr (std::is_floating_point_v<T>) {
+      std::fprintf(stderr, "%s wants a finite number >= %g, got '%s'\n", flag.c_str(),
+                   static_cast<double>(lo), value.c_str());
+    } else {
+      std::fprintf(stderr, "%s wants an integer in [%s, %s], got '%s'\n", flag.c_str(),
+                   std::to_string(lo).c_str(), std::to_string(hi).c_str(), value.c_str());
+    }
+    Usage(argv0);
+  }
+  return parsed;
 }
 
 Args ParseArgs(int argc, char** argv) {
@@ -234,6 +258,13 @@ Args ParseArgs(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
+    // The value of a numeric flag, strictly parsed (see NumberFlag). Every
+    // count, size and duration flag is non-negative, hence the default
+    // lower bound.
+    auto number = [&]<typename T>(T* out, T lo = T{0},
+                                  T hi = std::numeric_limits<T>::max()) {
+      *out = NumberFlag<T>(argv[0], flag, value_of(i), lo, hi);
+    };
     if (flag == "--demo") {
       args.demo = true;
     } else if (flag == "--csv") {
@@ -264,62 +295,50 @@ Args ParseArgs(int argc, char** argv) {
       }
       args.separator = s[0];
     } else if (flag == "--port") {
-      // Strict parse: HttpServer truncates the port through uint16_t, so a
-      // typo'd or out-of-range value would silently bind a different port.
-      std::string value = value_of(i);
-      char* end = nullptr;
-      long port = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "--port wants an integer in [0, 65535], got '%s'\n",
-                     value.c_str());
-        Usage(argv[0]);
-      }
-      args.port = static_cast<int>(port);
+      // The socket layer truncates the port through uint16_t, so an
+      // out-of-range value would silently bind a different port.
+      number(&args.port, 0, 65535);
     } else if (flag == "--http-threads") {
-      args.http_threads = std::atoi(value_of(i).c_str());
+      number(&args.http_threads);
     } else if (flag == "--engine-threads") {
-      args.engine_threads = std::atoi(value_of(i).c_str());
+      number(&args.engine_threads);
     } else if (flag == "--top-k") {
-      args.top_k = std::atoi(value_of(i).c_str());
+      number(&args.top_k);
     } else if (flag == "--session-ttl") {
-      args.session_ttl = std::atoi(value_of(i).c_str());
+      number(&args.session_ttl);
     } else if (flag == "--dataset-root") {
       args.dataset_root = value_of(i);
     } else if (flag == "--snapshot-dir") {
       args.snapshot_dir = value_of(i);
     } else if (flag == "--cache-budget-mb") {
-      args.cache_budget_mb =
-          static_cast<size_t>(std::strtoull(value_of(i).c_str(), nullptr, 10));
+      // Bounded so that the MiB-to-bytes conversion below cannot wrap.
+      number(&args.cache_budget_mb, size_t{0}, SIZE_MAX >> 20);
     } else if (flag == "--max-requests-per-connection") {
-      args.max_requests_per_connection = std::atol(value_of(i).c_str());
+      number(&args.max_requests_per_connection);
     } else if (flag == "--max-sessions") {
-      args.max_sessions = std::atol(value_of(i).c_str());
+      number(&args.max_sessions);
     } else if (flag == "--max-datasets") {
-      args.max_datasets = std::atol(value_of(i).c_str());
+      number(&args.max_datasets);
     } else if (flag == "--max-body-bytes") {
-      args.max_body_bytes = static_cast<size_t>(std::strtoull(value_of(i).c_str(), nullptr, 10));
-    } else if (flag == "--reactor") {
-      args.reactor = true;
+      number(&args.max_body_bytes);
     } else if (flag == "--auth-token") {
       args.auth_token = value_of(i);
     } else if (flag == "--stream-threshold") {
-      args.stream_threshold =
-          static_cast<size_t>(std::strtoull(value_of(i).c_str(), nullptr, 10));
+      number(&args.stream_threshold);
     } else if (flag == "--max-connections") {
-      args.max_connections = std::atol(value_of(i).c_str());
+      number(&args.max_connections);
     } else if (flag == "--rate-limit-rps") {
-      args.rate_limit_rps = std::atof(value_of(i).c_str());
+      number(&args.rate_limit_rps);
     } else if (flag == "--rate-limit-burst") {
-      args.rate_limit_burst = std::atof(value_of(i).c_str());
+      number(&args.rate_limit_burst);
     } else if (flag == "--queue-deadline-ms") {
-      args.queue_deadline_ms = std::atoi(value_of(i).c_str());
+      number(&args.queue_deadline_ms);
     } else if (flag == "--idle-timeout") {
-      args.idle_timeout = std::atoi(value_of(i).c_str());
+      number(&args.idle_timeout);
     } else if (flag == "--write-stall") {
-      args.write_stall = std::atof(value_of(i).c_str());
+      number(&args.write_stall);
     } else if (flag == "--high-water-bytes") {
-      args.high_water_bytes =
-          static_cast<size_t>(std::strtoull(value_of(i).c_str(), nullptr, 10));
+      number(&args.high_water_bytes);
     } else if (flag == "--log-level") {
       args.log_level = value_of(i);
       if (!ParseLogLevel(args.log_level).has_value()) {
@@ -330,9 +349,9 @@ Args ParseArgs(int argc, char** argv) {
     } else if (flag == "--log-file") {
       args.log_file = value_of(i);
     } else if (flag == "--slow-request-ms") {
-      args.slow_request_ms = std::atof(value_of(i).c_str());
+      number(&args.slow_request_ms);
     } else if (flag == "--debug-requests") {
-      args.debug_requests = std::atol(value_of(i).c_str());
+      number(&args.debug_requests);
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
       Usage(argv[0]);
@@ -352,9 +371,10 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Assigned once the chosen front end exists (below); the service's healthz
-  // hook dereferences it lazily, per request, so construction order is fine.
-  std::function<std::string()> transport_stats;
+  // The service's /healthz and /metricsz read the front end's transport
+  // counters per request through this pointer; it is set below, before
+  // Start() lets the first request in.
+  std::unique_ptr<ReactorServer> server;
 
   ServiceOptions service_options;
   service_options.session_defaults.TopK(args.top_k).Threads(args.engine_threads);
@@ -368,11 +388,8 @@ int Main(int argc, char** argv) {
   service_options.slow_request_ms = args.slow_request_ms;
   service_options.debug_request_ring =
       args.debug_requests > 0 ? static_cast<size_t>(args.debug_requests) : 0;
-  // Both front ends export transport counters now (the threaded server grew
-  // a StatsJson for the admission-control counters), so the hook is
-  // unconditional.
-  service_options.transport_stats_json = [&transport_stats] {
-    return transport_stats ? transport_stats() : std::string("null");
+  service_options.transport_stats_json = [&server] {
+    return server != nullptr ? server->StatsJson() : std::string("null");
   };
 
   ReptileService service(service_options);
@@ -450,71 +467,38 @@ int Main(int argc, char** argv) {
     }
   }
 
-  HttpHandler handler = [&service](const HttpRequest& request) {
-    return service.Handle(request);
-  };
-  HttpStreamFactory stream_factory = [&service](const HttpRequest& head) {
-    return service.StartStreamingBody(head);
-  };
-
+  ReactorServerOptions server_options;
+  server_options.port = args.port;
+  server_options.num_threads = args.http_threads;
+  server_options.max_body_bytes = args.max_body_bytes;
+  server_options.max_connections = args.max_connections;
+  server_options.idle_timeout_seconds = args.idle_timeout;
+  server_options.write_stall_seconds = args.write_stall;
+  server_options.write_high_water_bytes = args.high_water_bytes;
+  server_options.max_requests_per_connection = args.max_requests_per_connection;
+  server_options.rate_limit_rps = args.rate_limit_rps;
   // --rate-limit-burst defaults to two seconds of sustained rate: deep
   // enough that an interactive client's click-burst is admitted, shallow
   // enough that a flood hits the 429s within a second.
-  double rate_limit_burst =
+  server_options.rate_limit_burst =
       args.rate_limit_burst > 0.0 ? args.rate_limit_burst : 2.0 * args.rate_limit_rps;
-
-  std::unique_ptr<HttpServer> threaded;
-  std::unique_ptr<ReactorServer> reactor;
-  Status started;
-  int port = 0;
-  if (args.reactor) {
-    ReactorServerOptions server_options;
-    server_options.port = args.port;
-    server_options.num_threads = args.http_threads;
-    server_options.max_body_bytes = args.max_body_bytes;
-    server_options.max_connections = args.max_connections;
-    server_options.idle_timeout_seconds = args.idle_timeout;
-    server_options.write_stall_seconds = args.write_stall;
-    server_options.write_high_water_bytes = args.high_water_bytes;
-    server_options.max_requests_per_connection = args.max_requests_per_connection;
-    server_options.rate_limit_rps = args.rate_limit_rps;
-    server_options.rate_limit_burst = rate_limit_burst;
-    server_options.queue_deadline_ms = args.queue_deadline_ms;
-    server_options.stream_factory = stream_factory;
-    reactor = std::make_unique<ReactorServer>(std::move(server_options), handler);
-    ReactorServer* raw = reactor.get();
-    transport_stats = [raw] { return raw->StatsJson(); };
-    started = reactor->Start();
-    port = reactor->port();
-  } else {
-    HttpServerOptions server_options;
-    server_options.port = args.port;
-    server_options.num_threads = args.http_threads;
-    server_options.max_body_bytes = args.max_body_bytes;
-    server_options.max_requests_per_connection = args.max_requests_per_connection;
-    server_options.rate_limit_rps = args.rate_limit_rps;
-    server_options.rate_limit_burst = rate_limit_burst;
-    server_options.queue_deadline_ms = args.queue_deadline_ms;
-    server_options.stream_factory = stream_factory;
-    threaded = std::make_unique<HttpServer>(server_options, handler);
-    HttpServer* raw = threaded.get();
-    transport_stats = [raw] { return raw->StatsJson(); };
-    started = threaded->Start();
-    port = threaded->port();
-  }
+  server_options.queue_deadline_ms = args.queue_deadline_ms;
+  server_options.stream_factory = [&service](const HttpRequest& head) {
+    return service.StartStreamingBody(head);
+  };
+  server = std::make_unique<ReactorServer>(
+      std::move(server_options),
+      [&service](const HttpRequest& request) { return service.Handle(request); });
+  Status started = server->Start();
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
     return 1;
   }
+  const int port = server->port();
   std::printf("reptile_serve listening on 127.0.0.1:%d\n", port);
-  if (args.reactor) {
-    std::printf("front end: epoll reactor (1 event thread, %d workers)\n",
-                args.http_threads);
-  }
   std::fflush(stdout);
   LogEvent(LogLevel::kInfo, "server_started",
            {LogField::Int("port", port),
-            LogField::Str("front_end", args.reactor ? "reactor" : "threaded"),
             LogField::Int("pid", static_cast<int64_t>(::getpid())),
             LogField::Raw("build", BuildInfoJson())});
 
@@ -533,8 +517,7 @@ int Main(int argc, char** argv) {
   std::printf("shutting down\n");
   std::fflush(stdout);
   LogEvent(LogLevel::kInfo, "server_stopping", {LogField::Int("port", port)});
-  if (reactor != nullptr) reactor->Stop();
-  if (threaded != nullptr) threaded->Stop();
+  server->Stop();
   return 0;
 }
 

@@ -1369,8 +1369,8 @@ HttpResponse ReptileService::HandleMetricsz() {
                    "dirty-subtree appends",
                    "counter", registry_->cache_invalidations());
 
-  // Front-end transport counters (reactor: connections, backpressure trips,
-  // ...), re-exported from the same hook /healthz uses. Top-level integers
+  // Front-end transport counters (connections, backpressure trips, ...),
+  // re-exported from the same hook /healthz uses. Top-level integers
   // only — that is the whole StatsJson shape.
   if (options_.transport_stats_json != nullptr) {
     Result<JsonValue> stats = ParseJson(options_.transport_stats_json());

@@ -17,8 +17,7 @@
 //   GET    /metricsz           Prometheus text exposition (version 0.0.4):
 //                              request-latency and per-stage histograms, the
 //                              cache/session/transport counters, and the
-//                              process-wide gauges — served identically by
-//                              both front ends
+//                              process-wide gauges
 //   GET    /v1/debug/requests  the bounded ring of recent request trace
 //                              records (opt-in via ServiceOptions::
 //                              debug_request_ring; requires the bearer token
@@ -147,7 +146,7 @@
 #include "api/registry.h"
 #include "api/session.h"
 #include "api/status.h"
-#include "server/http_server.h"
+#include "net/http_message.h"
 
 namespace reptile {
 
@@ -286,8 +285,8 @@ class ReptileService {
   /// and the structured log.
   HttpResponse Handle(const HttpRequest& request);
 
-  /// Streaming-upload hook for the front ends (HttpServerOptions /
-  /// ReactorServerOptions::stream_factory). Engages for two text/csv POSTs:
+  /// Streaming-upload hook for the front end
+  /// (ReactorServerOptions::stream_factory). Engages for two text/csv POSTs:
   ///
   /// POST /v1/datasets/{name}/rows — the body is the raw CSV of the appended
   /// rows (header line included); no query parameters are accepted (the

@@ -1,5 +1,5 @@
 // reptile_loadgen — deterministic open-loop workload driver for
-// reptile_serve (either front end).
+// reptile_serve.
 //
 //   reptile_loadgen --port 8080                        # steady + burst
 //   reptile_loadgen --port 8080 --scenario steady
@@ -25,10 +25,8 @@
 //   --workers N         max concurrent in-flight requests (default 8)
 //   --timeout-ms N      per-socket-op client deadline (default 5000)
 //   --keep-alive        one persistent connection per worker instead of one
-//                       connection per request (fine against --reactor;
-//                       against the thread-per-connection front end keep
-//                       workers < --http-threads or idle connections starve
-//                       the pool)
+//                       connection per request (an idle keep-alive
+//                       connection costs the server a few KB, not a thread)
 //   --out PATH          report file (default BENCH_workload.json)
 //   --dump-schedule P   write the schedule text to P (single scenario) or
 //                       P.<scenario> (both) and exit without needing a

@@ -34,10 +34,9 @@ struct RunnerOptions {
   int workers = 8;        // max concurrent in-flight requests (one client each)
   int timeout_ms = 5000;  // per-socket-op client deadline (HttpClient)
   // false (default): one connection per request. true: each worker keeps one
-  // connection alive for the whole run — realistic for the reactor front
-  // end, but the thread-per-connection front end pins a worker thread per
-  // idle keep-alive connection, so more loadgen workers than server threads
-  // would starve (and time out) instead of queueing.
+  // connection alive for the whole run, as a long-lived client would; the
+  // reactor front end holds idle keep-alive connections as state, not
+  // threads, so any number of workers is fine.
   bool keep_alive = false;
 };
 

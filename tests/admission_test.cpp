@@ -1,8 +1,7 @@
 // Tests for the admission-control layer grown for the workload simulator:
 // HttpClient deadlines against a stalled server (kDeadlineExceeded, distinct
-// from kIoError), token-bucket 429s with Retry-After on BOTH front ends
-// (with /healthz and /metricsz exempt), queue-deadline 503 shedding on both
-// front ends (per-connection threaded, per-request reactor — the reactor
+// from kIoError), token-bucket 429s with Retry-After (with /healthz and
+// /metricsz exempt), per-request queue-deadline 503 shedding (the
 // connection survives), the kDeadlineExceeded -> 504 wire mapping, and the
 // /metricsz export of the new transport counters.
 
@@ -12,16 +11,17 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
 #include "gtest/gtest.h"
 #include "net/reactor_server.h"
 #include "server/http_client.h"
-#include "server/http_server.h"
 #include "server/service.h"
 
 namespace reptile {
@@ -94,153 +94,160 @@ TEST(HttpClientTimeoutTest, StalledServerSurfacesDeadlineExceeded) {
   EXPECT_EQ(again.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-// One front end + a caller-supplied handler; admission control is purely a
+// The front end + a caller-supplied handler; admission control is purely a
 // front-end concern, so these tests don't need the full service.
-struct FrontEnd {
-  FrontEnd(bool reactor, HttpHandler handler, double rate_limit_rps,
-           double rate_limit_burst, int queue_deadline_ms, int num_threads) {
-    if (reactor) {
-      ReactorServerOptions options;
-      options.num_threads = num_threads;
-      options.rate_limit_rps = rate_limit_rps;
-      options.rate_limit_burst = rate_limit_burst;
-      options.queue_deadline_ms = queue_deadline_ms;
-      reactor_server = std::make_unique<ReactorServer>(std::move(options),
-                                                       std::move(handler));
-      EXPECT_TRUE(reactor_server->Start().ok());
-      port = reactor_server->port();
-    } else {
-      HttpServerOptions options;
-      options.num_threads = num_threads;
-      options.rate_limit_rps = rate_limit_rps;
-      options.rate_limit_burst = rate_limit_burst;
-      options.queue_deadline_ms = queue_deadline_ms;
-      http_server = std::make_unique<HttpServer>(std::move(options),
-                                                 std::move(handler));
-      EXPECT_TRUE(http_server->Start().ok());
-      port = http_server->port();
-    }
-  }
-
-  ~FrontEnd() {
-    if (reactor_server != nullptr) reactor_server->Stop();
-    if (http_server != nullptr) http_server->Stop();
-  }
-
-  int64_t rate_limited() const {
-    return reactor_server != nullptr ? reactor_server->requests_rate_limited()
-                                     : http_server->requests_rate_limited();
-  }
-  int64_t shed() const {
-    return reactor_server != nullptr ? reactor_server->requests_shed()
-                                     : http_server->requests_shed();
-  }
-
-  std::unique_ptr<HttpServer> http_server;
-  std::unique_ptr<ReactorServer> reactor_server;
-  int port = 0;
-};
+std::unique_ptr<ReactorServer> StartFrontEnd(HttpHandler handler, double rate_limit_rps,
+                                             double rate_limit_burst, int queue_deadline_ms,
+                                             int num_threads) {
+  ReactorServerOptions options;
+  options.num_threads = num_threads;
+  options.rate_limit_rps = rate_limit_rps;
+  options.rate_limit_burst = rate_limit_burst;
+  options.queue_deadline_ms = queue_deadline_ms;
+  auto server = std::make_unique<ReactorServer>(std::move(options), std::move(handler));
+  EXPECT_TRUE(server->Start().ok());
+  return server;
+}
 
 HttpHandler OkHandler() {
   return [](const HttpRequest&) { return HttpResponse::Json(200, "{\"ok\":true}"); };
 }
 
-TEST(AdmissionTest, RateLimitReturns429WithRetryAfterOnBothFrontEnds) {
-  for (bool reactor : {false, true}) {
-    SCOPED_TRACE(reactor ? "reactor" : "threaded");
-    // A refill rate of ~0 makes the test deterministic: exactly `burst`
-    // requests are admitted, ever.
-    FrontEnd server(reactor, OkHandler(), /*rate_limit_rps=*/0.0001,
-                    /*rate_limit_burst=*/2.0, /*queue_deadline_ms=*/0,
-                    /*num_threads=*/2);
-    HttpClient client("127.0.0.1", server.port);
+TEST(AdmissionTest, RateLimitReturns429WithRetryAfter) {
+  // A refill rate of ~0 makes the test deterministic: exactly `burst`
+  // requests are admitted, ever.
+  std::unique_ptr<ReactorServer> server =
+      StartFrontEnd(OkHandler(), /*rate_limit_rps=*/0.0001, /*rate_limit_burst=*/2.0,
+                    /*queue_deadline_ms=*/0, /*num_threads=*/2);
+  HttpClient client("127.0.0.1", server->port());
 
-    for (int i = 0; i < 2; ++i) {
-      Result<HttpClientResponse> admitted = client.Post("/api/op", "{}");
-      ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
-      EXPECT_EQ(admitted->status, 200);
-    }
-    Result<HttpClientResponse> limited = client.Post("/api/op", "{}");
-    ASSERT_TRUE(limited.ok()) << limited.status().ToString();
-    EXPECT_EQ(limited->status, 429);
-    EXPECT_NE(limited->body.find("\"code\":\"RATE_LIMITED\""), std::string::npos)
-        << limited->body;
-    EXPECT_NE(limited->body.find("\"http\":429"), std::string::npos);
-    const std::string* retry_after = limited->FindHeader("retry-after");
-    ASSERT_NE(retry_after, nullptr);
-    EXPECT_GE(std::stol(*retry_after), 1);
-
-    // The rejection is a normal response on a healthy connection: the same
-    // client keeps talking, and the health/metrics routes stay exempt no
-    // matter how drained the bucket is.
-    for (int i = 0; i < 3; ++i) {
-      Result<HttpClientResponse> health = client.Get("/healthz");
-      ASSERT_TRUE(health.ok()) << health.status().ToString();
-      EXPECT_EQ(health->status, 200);
-      Result<HttpClientResponse> metrics = client.Get("/metricsz");
-      ASSERT_TRUE(metrics.ok());
-      // The bare front end has no /metricsz handler (the service provides
-      // it); exempt means "reached the handler", i.e. NOT 429.
-      EXPECT_NE(metrics->status, 429);
-    }
-    EXPECT_EQ(server.rate_limited(), 1);
-    EXPECT_EQ(server.shed(), 0);
+  for (int i = 0; i < 2; ++i) {
+    Result<HttpClientResponse> admitted = client.Post("/api/op", "{}");
+    ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+    EXPECT_EQ(admitted->status, 200);
   }
+  Result<HttpClientResponse> limited = client.Post("/api/op", "{}");
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  EXPECT_EQ(limited->status, 429);
+  EXPECT_NE(limited->body.find("\"code\":\"RATE_LIMITED\""), std::string::npos)
+      << limited->body;
+  EXPECT_NE(limited->body.find("\"http\":429"), std::string::npos);
+  const std::string* retry_after = limited->FindHeader("retry-after");
+  ASSERT_NE(retry_after, nullptr);
+  EXPECT_GE(std::stol(*retry_after), 1);
+
+  // The rejection is a normal response on a healthy connection: the same
+  // client keeps talking, and the health/metrics routes stay exempt no
+  // matter how drained the bucket is.
+  for (int i = 0; i < 3; ++i) {
+    Result<HttpClientResponse> health = client.Get("/healthz");
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+    EXPECT_EQ(health->status, 200);
+    Result<HttpClientResponse> metrics = client.Get("/metricsz");
+    ASSERT_TRUE(metrics.ok());
+    // The bare front end has no /metricsz handler (the service provides
+    // it); exempt means "reached the handler", i.e. NOT 429.
+    EXPECT_NE(metrics->status, 429);
+  }
+  EXPECT_EQ(server->requests_rate_limited(), 1);
+  EXPECT_EQ(server->requests_shed(), 0);
 }
 
-HttpHandler SlowPathHandler() {
-  return [](const HttpRequest& request) {
-    if (request.path == "/slow") {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    return HttpResponse::Json(200, "{\"ok\":true}");
-  };
-}
+// Holds the front end's one worker on demand: the handler for /slow
+// announces that it is running, then blocks until the test releases it.
+class WorkerGate {
+ public:
+  void HoldWorker() {
+    std::unique_lock<std::mutex> lock(mu_);
+    held_ = true;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return released_; });
+  }
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    changed_.notify_all();
+  }
 
-TEST(AdmissionTest, QueueDeadlineShedsBehindABusyWorkerOnBothFrontEnds) {
-  for (bool reactor : {false, true}) {
-    SCOPED_TRACE(reactor ? "reactor" : "threaded");
-    // One worker + a 1ms deadline: anything that arrives while /slow holds
-    // the worker has waited too long by the time the worker frees up.
-    FrontEnd server(reactor, SlowPathHandler(), /*rate_limit_rps=*/0.0,
-                    /*rate_limit_burst=*/0.0, /*queue_deadline_ms=*/1,
-                    /*num_threads=*/1);
+ private:
+  std::mutex mu_;
+  std::condition_variable changed_;
+  bool held_ = false;
+  bool released_ = false;
+};
 
-    std::thread slow([port = server.port] {
-      HttpClient client("127.0.0.1", port);
+TEST(AdmissionTest, QueueDeadlineShedsBehindABusyWorker) {
+  WorkerGate gate;
+  // One worker + a 1ms deadline: a request queued behind /slow for longer
+  // than that is shed when the worker frees up.
+  std::unique_ptr<ReactorServer> server = StartFrontEnd(
+      [&gate](const HttpRequest& request) {
+        if (request.path == "/slow") gate.HoldWorker();
+        return HttpResponse::Json(200, "{\"ok\":true}");
+      },
+      /*rate_limit_rps=*/0.0, /*rate_limit_burst=*/0.0, /*queue_deadline_ms=*/1,
+      /*num_threads=*/1);
+
+  // The 1ms deadline applies to /slow too: on a loaded host it can be shed
+  // before the worker picks it up. Re-send it until its handler runs.
+  std::thread slow([&server] {
+    HttpClient client("127.0.0.1", server->port());
+    for (;;) {
       Result<HttpClientResponse> response = client.Get("/slow");
       ASSERT_TRUE(response.ok()) << response.status().ToString();
-      EXPECT_EQ(response->status, 200);
-    });
-    // Give /slow time to occupy the worker before the victim arrives.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (response->status != 503) {
+        EXPECT_EQ(response->status, 200);
+        return;
+      }
+    }
+  });
+  gate.WaitUntilHeld();
 
-    HttpClient victim("127.0.0.1", server.port);
-    Result<HttpClientResponse> shed = victim.Get("/fast");
-    slow.join();
-    ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-    EXPECT_EQ(shed->status, 503);
-    EXPECT_NE(shed->body.find("\"code\":\"OVERLOADED\""), std::string::npos)
-        << shed->body;
-    EXPECT_GE(server.shed(), 1);
-    EXPECT_EQ(server.rate_limited(), 0);
-
-    // With the worker idle again the same client is served normally — on
-    // the reactor the 503 never even closed the connection (per-request
-    // shedding), on the threaded front end the client reconnects.
-    Result<HttpClientResponse> after = victim.Get("/fast");
-    ASSERT_TRUE(after.ok()) << after.status().ToString();
-    EXPECT_EQ(after->status, 200);
+  // The victim is dispatched while /slow holds the worker; once it has
+  // queued for well over the deadline, /slow lets the worker go.
+  const int64_t dispatched = server->requests_dispatched();
+  HttpClient victim("127.0.0.1", server->port());
+  Result<HttpClientResponse> shed = Status::Internal("victim never answered");
+  std::thread victim_thread([&victim, &shed] { shed = victim.Get("/fast"); });
+  while (server->requests_dispatched() < dispatched + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Release();
+  victim_thread.join();
+  slow.join();
+
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->status, 503);
+  EXPECT_NE(shed->body.find("\"code\":\"OVERLOADED\""), std::string::npos)
+      << shed->body;
+  EXPECT_GE(server->requests_shed(), 1);
+  EXPECT_EQ(server->requests_rate_limited(), 0);
+
+  // With the worker idle again the same client is served normally, on the
+  // same connection: shedding is per request and never closes it. (A loaded
+  // host can still miss the 1ms deadline; each miss must be the same 503.)
+  const int64_t accepted = server->connections_accepted();
+  Result<HttpClientResponse> after = victim.Get("/fast");
+  for (int attempt = 0; attempt < 100 && after.ok() && after->status == 503; ++attempt) {
+    after = victim.Get("/fast");
+  }
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->status, 200);
+  EXPECT_EQ(server->connections_accepted(), accepted);
 }
 
 TEST(AdmissionTest, DeadlineExceededMapsTo504OnTheWire) {
   ServiceOptions options;
   options.enable_debug_status_route = true;
   ReptileService service(std::move(options));
-  HttpServerOptions server_options;
+  ReactorServerOptions server_options;
   server_options.num_threads = 1;
-  HttpServer server(server_options, [&service](const HttpRequest& request) {
+  ReactorServer server(server_options, [&service](const HttpRequest& request) {
     return service.Handle(request);
   });
   ASSERT_TRUE(server.Start().ok());
@@ -268,11 +275,11 @@ TEST(AdmissionTest, MetricszExportsRateLimitAndShedCounters) {
   };
   ReptileService service(std::move(service_options));
 
-  HttpServerOptions server_options;
+  ReactorServerOptions server_options;
   server_options.num_threads = 2;
   server_options.rate_limit_rps = 0.0001;
   server_options.rate_limit_burst = 1.0;
-  HttpServer server(server_options, [&service](const HttpRequest& request) {
+  ReactorServer server(server_options, [&service](const HttpRequest& request) {
     return service.Handle(request);
   });
   transport_stats = [&server] { return server.StatsJson(); };

@@ -1,12 +1,12 @@
-// Tests for the event-driven serving tier (src/net/): the epoll reactor
-// front end run differentially against the thread-per-connection server
-// (byte-identical bodies over the full dataset/session lifecycle, serial and
-// under concurrent clients), hostile-client behavior (slow-loris trickle,
-// mid-body disconnects, stalled readers, oversized streamed uploads),
-// backpressure and admission-control counters, the 256-idle-connection
-// fixed-thread guarantee, bearer-token auth, and the streaming building
-// blocks (CsvStreamParser chunk-split equivalence, ToJsonPieces ==
-// ToJson).
+// Tests for the event-driven serving tier (src/net/): the epoll reactor's
+// wire bytes run differentially against ReptileService::Handle called in
+// process on an identically built service (byte-identical bodies over the
+// full dataset/session lifecycle, serial and under concurrent clients),
+// hostile-client behavior (slow-loris trickle, mid-body disconnects,
+// stalled readers, oversized streamed uploads), backpressure and
+// admission-control counters, the 256-idle-connection fixed-thread
+// guarantee, bearer-token auth, and the streaming building blocks
+// (CsvStreamParser chunk-split equivalence, ToJsonPieces == ToJson).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -32,7 +32,6 @@
 #include "net/reactor_server.h"
 #include "reptile/reptile.h"
 #include "server/http_client.h"
-#include "server/http_server.h"
 #include "server/json.h"
 #include "server/service.h"
 
@@ -44,9 +43,9 @@ constexpr int kVillages = 3;
 constexpr int kYears = 4;
 constexpr int kRowsPerGroup = 3;
 
-// MakeSeverityPanel is deterministic in its spec, so the two service stacks
-// below hold bit-identical datasets — the basis of every byte-equality
-// assertion in the differential suite.
+// MakeSeverityPanel is deterministic in its spec, so the served stack and
+// the in-process reference below hold bit-identical datasets — the basis of
+// every byte-equality assertion in the differential suite.
 Dataset MakePanel() {
   PanelSpec spec;
   spec.districts = kDistricts;
@@ -81,43 +80,26 @@ const char kUploadCsv[] =
     "d1,y0,5\nd1,y0,3\nd1,y1,2\nd1,y1,6\n"
     "d2,y0,4\nd2,y0,2\nd2,y1,5\nd2,y1,1\n";
 
-// One service + front end. `reactor=true` serves through the epoll reactor,
-// false through the thread-per-connection oracle; everything else (datasets,
-// options, handler) is identical, so responses must be byte-identical.
+// One service behind the reactor front end.
 struct Stack {
-  explicit Stack(bool reactor, ServiceOptions service_options = ServiceOptions(),
-                 size_t max_stream_body_bytes = size_t{1} << 30)
+  explicit Stack(ServiceOptions service_options = ServiceOptions())
       : service(std::move(service_options)) {
     EXPECT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-    HttpHandler handler = [this](const HttpRequest& request) {
-      return service.Handle(request);
-    };
-    HttpStreamFactory factory = [this](const HttpRequest& head) {
+    ReactorServerOptions options;
+    options.num_threads = 2;
+    options.tick_interval_ms = 50;
+    options.stream_factory = [this](const HttpRequest& head) {
       return service.StartStreamingBody(head);
     };
-    if (reactor) {
-      ReactorServerOptions options;
-      options.num_threads = 2;
-      options.tick_interval_ms = 50;
-      options.max_stream_body_bytes = max_stream_body_bytes;
-      options.stream_factory = factory;
-      reactor_server = std::make_unique<ReactorServer>(std::move(options), handler);
-      EXPECT_TRUE(reactor_server->Start().ok());
-      port = reactor_server->port();
-    } else {
-      HttpServerOptions options;
-      options.num_threads = 4;  // >= concurrent clients below
-      options.max_stream_body_bytes = max_stream_body_bytes;
-      options.stream_factory = factory;
-      http_server = std::make_unique<HttpServer>(std::move(options), handler);
-      EXPECT_TRUE(http_server->Start().ok());
-      port = http_server->port();
-    }
+    server = std::make_unique<ReactorServer>(
+        std::move(options),
+        [this](const HttpRequest& request) { return service.Handle(request); });
+    EXPECT_TRUE(server->Start().ok());
+    port = server->port();
   }
 
   ReptileService service;
-  std::unique_ptr<HttpServer> http_server;
-  std::unique_ptr<ReactorServer> reactor_server;
+  std::unique_ptr<ReactorServer> server;
   int port = 0;
 };
 
@@ -266,31 +248,75 @@ std::string NormalizeHealthz(const std::string& body) {
   return out;
 }
 
-void RunDifferentialSequence(const std::vector<WireCall>& calls, Stack& a, Stack& b) {
-  HttpClient client_a("127.0.0.1", a.port);
-  HttpClient client_b("127.0.0.1", b.port);
-  for (const WireCall& call : calls) {
-    auto run = [&call](HttpClient& client) {
-      if (call.method == "GET") return client.Get(call.path);
-      if (call.method == "DELETE") return client.Delete(call.path);
-      return client.Post(call.path, call.body, call.content_type);
-    };
-    Result<HttpClientResponse> ra = run(client_a);
-    Result<HttpClientResponse> rb = run(client_b);
-    ASSERT_TRUE(ra.ok()) << call.label << ": " << ra.status().ToString();
-    ASSERT_TRUE(rb.ok()) << call.label << ": " << rb.status().ToString();
-    EXPECT_EQ(ra->status, rb->status) << call.label;
-    if (call.path == "/healthz" && call.method == "GET") {
-      EXPECT_EQ(NormalizeHealthz(ra->body), NormalizeHealthz(rb->body)) << call.label;
+HttpRequest MakeRequest(const std::string& method, const std::string& target,
+                        std::string body = std::string(),
+                        std::vector<std::pair<std::string, std::string>> headers = {}) {
+  HttpRequest request;
+  request.method = method;
+  request.target = target;
+  size_t question = target.find('?');
+  request.path = target.substr(0, question);
+  if (question != std::string::npos) request.query = target.substr(question + 1);
+  request.http_version = "HTTP/1.1";
+  request.headers = std::move(headers);
+  request.body = std::move(body);
+  return request;
+}
+
+// The byte-identity reference: an identically built service called in
+// process, with no transport at all. A text/csv body goes through the
+// streaming hook the way the front end feeds it (StartStreamingBody, the
+// body, then Finish), and a streamed response body is concatenated.
+struct InProcess {
+  explicit InProcess(ServiceOptions service_options = ServiceOptions())
+      : service(std::move(service_options)) {
+    EXPECT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
+  }
+
+  HttpResponse Call(const WireCall& call) {
+    std::vector<std::pair<std::string, std::string>> headers;
+    if (call.method == "POST") headers.emplace_back("content-type", call.content_type);
+    HttpRequest request = MakeRequest(call.method, call.path, std::string(), headers);
+    HttpResponse response;
+    if (std::unique_ptr<HttpBodySink> sink = service.StartStreamingBody(request)) {
+      bool accepted = call.body.empty() || sink->Append(call.body);
+      response = sink->Finish(/*complete=*/accepted);
     } else {
-      EXPECT_EQ(ra->body, rb->body) << call.label;
+      request.body = call.body;
+      response = service.Handle(request);
+    }
+    if (response.body_stream) {
+      std::string piece;
+      while (response.body_stream(&piece)) response.body += piece;
+    }
+    return response;
+  }
+
+  ReptileService service;
+};
+
+void RunDifferentialSequence(const std::vector<WireCall>& calls, InProcess& reference,
+                             Stack& served) {
+  HttpClient client("127.0.0.1", served.port);
+  for (const WireCall& call : calls) {
+    Result<HttpClientResponse> wire =
+        call.method == "GET"      ? client.Get(call.path)
+        : call.method == "DELETE" ? client.Delete(call.path)
+                                  : client.Post(call.path, call.body, call.content_type);
+    HttpResponse expected = reference.Call(call);
+    ASSERT_TRUE(wire.ok()) << call.label << ": " << wire.status().ToString();
+    EXPECT_EQ(wire->status, expected.status) << call.label;
+    if (call.path == "/healthz" && call.method == "GET") {
+      EXPECT_EQ(NormalizeHealthz(wire->body), NormalizeHealthz(expected.body)) << call.label;
+    } else {
+      EXPECT_EQ(wire->body, expected.body) << call.label;
     }
   }
 }
 
-TEST(NetDifferentialTest, FullLifecycleByteIdenticalAcrossFrontEnds) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
+TEST(NetDifferentialTest, FullLifecycleWireBytesMatchInProcessHandle) {
+  InProcess reference;
+  Stack served;
 
   const std::string session_address = R"("session":"s-1")";
   std::vector<WireCall> calls = {
@@ -338,18 +364,17 @@ TEST(NetDifferentialTest, FullLifecycleByteIdenticalAcrossFrontEnds) {
        "text/csv"},
       {"healthz after lifecycle", "GET", "/healthz", ""},
   };
-  RunDifferentialSequence(calls, threaded, reactor);
+  RunDifferentialSequence(calls, reference, served);
 }
 
-// /metricsz on BOTH front ends: structural assertions only (latency values
-// are scheduling-dependent, so no byte comparison) — Prometheus content
-// type, the request-latency histogram with cumulative buckets, the stage
-// and cache series, and a trace id echoed on the scrape response itself.
-TEST(NetDifferentialTest, MetricszServedIdenticallyShapedOnBothFrontEnds) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
-  for (Stack* stack : {&threaded, &reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
+// /metricsz over the wire: structural assertions only (latency values are
+// scheduling-dependent, so no byte comparison) — Prometheus content type,
+// the request-latency histogram with cumulative buckets, the stage and
+// cache series, and a trace id echoed on the scrape response itself.
+TEST(NetDifferentialTest, MetricszServesHistogramsAndTransportGauges) {
+  {
+    Stack stack;
+    HttpClient client("127.0.0.1", stack.port);
     // Drive one recommend through first so the stage histograms are fed.
     Result<HttpClientResponse> rec =
         client.Post("/v1/recommend", RecommendBody(R"("dataset":"panel")", 0));
@@ -378,16 +403,16 @@ TEST(NetDifferentialTest, MetricszServedIdenticallyShapedOnBothFrontEnds) {
     ASSERT_NE(metrics->FindHeader("x-request-id"), nullptr);
     EXPECT_FALSE(metrics->FindHeader("x-request-id")->empty());
   }
-  // With the transport hook wired (as serve_main does for --reactor), the
-  // front end's counters are re-exported as reptile_transport_* gauges.
+  // With the transport hook wired (as serve_main does), the front end's
+  // counters are re-exported as reptile_transport_* gauges.
   auto transport = std::make_shared<std::function<std::string()>>();
   ServiceOptions with_transport;
   with_transport.transport_stats_json = [transport] {
     return *transport ? (*transport)() : std::string("null");
   };
-  Stack reactor2(/*reactor=*/true, std::move(with_transport));
-  *transport = [&reactor2] { return reactor2.reactor_server->StatsJson(); };
-  HttpClient client2("127.0.0.1", reactor2.port);
+  Stack wired(std::move(with_transport));
+  *transport = [&wired] { return wired.server->StatsJson(); };
+  HttpClient client2("127.0.0.1", wired.port);
   ASSERT_TRUE(client2.Get("/healthz").ok());
   Result<HttpClientResponse> metrics2 = client2.Get("/metricsz");
   ASSERT_TRUE(metrics2.ok()) << metrics2.status().ToString();
@@ -397,19 +422,17 @@ TEST(NetDifferentialTest, MetricszServedIdenticallyShapedOnBothFrontEnds) {
 }
 
 TEST(NetDifferentialTest, ConcurrentClientsSeeByteIdenticalBodies) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
+  Stack reactor;
 
-  // Reference bytes, computed serially first.
+  // Reference bytes, computed serially in process first.
   std::vector<std::string> expected;
   {
-    HttpClient client("127.0.0.1", threaded.port);
+    InProcess reference;
     for (int y = 0; y < kYears; ++y) {
-      Result<HttpClientResponse> r =
-          client.Post("/v1/recommend", RecommendBody(R"("dataset":"panel")", y));
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      ASSERT_EQ(r->status, 200);
-      expected.push_back(r->body);
+      HttpResponse r = reference.Call(
+          {"recommend", "POST", "/v1/recommend", RecommendBody(R"("dataset":"panel")", y)});
+      ASSERT_EQ(r.status, 200);
+      expected.push_back(r.body);
     }
   }
 
@@ -420,78 +443,71 @@ TEST(NetDifferentialTest, ConcurrentClientsSeeByteIdenticalBodies) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      HttpClient via_threaded("127.0.0.1", threaded.port);
       HttpClient via_reactor("127.0.0.1", reactor.port);
       for (int i = 0; i < kIterations; ++i) {
         int year = (c + i) % kYears;
         std::string body = RecommendBody(R"("dataset":"panel")", year);
-        Result<HttpClientResponse> rt = via_threaded.Post("/v1/recommend", body);
         Result<HttpClientResponse> rr = via_reactor.Post("/v1/recommend", body);
-        if (!rt.ok() || !rr.ok() || rt->status != 200 || rr->status != 200) {
+        if (!rr.ok() || rr->status != 200) {
           failures.fetch_add(1);
           continue;
         }
-        if (rt->body != expected[year] || rr->body != expected[year]) {
-          mismatches.fetch_add(1);
-        }
+        if (rr->body != expected[year]) mismatches.fetch_add(1);
       }
     });
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(reactor.reactor_server->requests_dispatched(), kClients * kIterations);
+  EXPECT_GE(reactor.server->requests_dispatched(), kClients * kIterations);
 }
 
-TEST(NetDifferentialTest, PipelinedRequestsAnsweredInOrderOnBothFrontEnds) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
+TEST(NetDifferentialTest, PipelinedRequestsAnsweredInOrder) {
+  Stack stack;
   const std::string two_gets =
       "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
       "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
-  for (Stack* stack : {&threaded, &reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
-    Result<std::string> raw = client.SendRaw(two_gets);
-    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-    // Two complete 200 responses, back to back.
-    size_t first = raw->find("HTTP/1.1 200 OK");
-    ASSERT_NE(first, std::string::npos);
-    size_t second = raw->find("HTTP/1.1 200 OK", first + 1);
-    ASSERT_NE(second, std::string::npos);
-  }
+  HttpClient client("127.0.0.1", stack.port);
+  Result<std::string> raw = client.SendRaw(two_gets);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  // Two complete 200 responses, back to back.
+  size_t first = raw->find("HTTP/1.1 200 OK");
+  ASSERT_NE(first, std::string::npos);
+  size_t second = raw->find("HTTP/1.1 200 OK", first + 1);
+  ASSERT_NE(second, std::string::npos);
 }
 
 TEST(NetDifferentialTest, StreamedBatchBodyMatchesBufferedBytes) {
   ServiceOptions streaming;
   streaming.stream_threshold_bytes = 1;  // stream every batch response
-  Stack buffered_stack(/*reactor=*/false);
-  Stack streamed_threaded(/*reactor=*/false, streaming);
-  Stack streamed_reactor(/*reactor=*/true, streaming);
+  Stack buffered_stack;
+  Stack streamed_stack(streaming);
+  const WireCall batch = {"batch", "POST", "/v1/recommend_batch",
+                          BatchBody(R"("dataset":"panel")")};
+  HttpResponse reference = InProcess().Call(batch);
+  ASSERT_EQ(reference.status, 200);
 
   HttpClient buffered_client("127.0.0.1", buffered_stack.port);
-  Result<HttpClientResponse> buffered =
-      buffered_client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"panel")"));
+  Result<HttpClientResponse> buffered = buffered_client.Post(batch.path, batch.body);
   ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
   ASSERT_EQ(buffered->status, 200);
   EXPECT_EQ(buffered->FindHeader("transfer-encoding"), nullptr);
+  EXPECT_EQ(buffered->body, reference.body);
 
-  for (Stack* stack : {&streamed_threaded, &streamed_reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
-    Result<HttpClientResponse> streamed =
-        client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"panel")"));
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_EQ(streamed->status, 200);
-    const std::string* te = streamed->FindHeader("transfer-encoding");
-    ASSERT_NE(te, nullptr);
-    EXPECT_EQ(*te, "chunked");
-    EXPECT_EQ(streamed->body, buffered->body);  // decoded bytes identical
-  }
+  HttpClient client("127.0.0.1", streamed_stack.port);
+  Result<HttpClientResponse> streamed = client.Post(batch.path, batch.body);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->status, 200);
+  const std::string* te = streamed->FindHeader("transfer-encoding");
+  ASSERT_NE(te, nullptr);
+  EXPECT_EQ(*te, "chunked");
+  EXPECT_EQ(streamed->body, reference.body);  // decoded bytes identical
 }
 
 TEST(NetDifferentialTest, Http10ClientGetsIdentityBodyFromStreamingServer) {
   ServiceOptions streaming;
   streaming.stream_threshold_bytes = 1;
-  Stack stack(/*reactor=*/true, streaming);
+  Stack stack(streaming);
 
   std::string body = BatchBody(R"("dataset":"panel")");
   std::string request = "POST /v1/recommend_batch HTTP/1.0\r\nHost: x\r\n"
@@ -507,21 +523,6 @@ TEST(NetDifferentialTest, Http10ClientGetsIdentityBodyFromStreamingServer) {
 }
 
 // ---- Auth ------------------------------------------------------------------
-
-HttpRequest MakeRequest(const std::string& method, const std::string& target,
-                        std::string body = std::string(),
-                        std::vector<std::pair<std::string, std::string>> headers = {}) {
-  HttpRequest request;
-  request.method = method;
-  request.target = target;
-  size_t question = target.find('?');
-  request.path = target.substr(0, question);
-  if (question != std::string::npos) request.query = target.substr(question + 1);
-  request.http_version = "HTTP/1.1";
-  request.headers = std::move(headers);
-  request.body = std::move(body);
-  return request;
-}
 
 TEST(NetAuthTest, BearerTokenGatesMutatingRoutesOnly) {
   ServiceOptions options;
@@ -601,29 +602,26 @@ TEST(NetAuthTest, TokenlessServiceAcceptsEverything) {
             200);
 }
 
-TEST(NetAuthTest, AuthEnforcedOverBothFrontEnds) {
+TEST(NetAuthTest, AuthEnforcedOnTheWire) {
   ServiceOptions options;
   options.auth_token = "wire-tok";
-  Stack threaded(/*reactor=*/false, options);
-  Stack reactor(/*reactor=*/true, options);
-  for (Stack* stack : {&threaded, &reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
-    Result<HttpClientResponse> denied =
-        client.Post("/v1/commit", R"({"dataset":"panel","hierarchy":"geo"})");
-    ASSERT_TRUE(denied.ok()) << denied.status().ToString();
-    EXPECT_EQ(denied->status, 401);
-    client.SetHeader("Authorization", "Bearer wire-tok");
-    Result<HttpClientResponse> allowed =
-        client.Post("/v1/commit", R"({"dataset":"panel","hierarchy":"geo"})");
-    ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
-    EXPECT_EQ(allowed->status, 200);
-    // Streamed upload without the token: 401 through the rejecting sink.
-    client.SetHeader("Authorization", "");
-    Result<HttpClientResponse> upload = client.Post(
-        "/v1/datasets?name=n&dimensions=d,y&measures=m", kUploadCsv, "text/csv");
-    ASSERT_TRUE(upload.ok()) << upload.status().ToString();
-    EXPECT_EQ(upload->status, 401);
-  }
+  Stack stack(options);
+  HttpClient client("127.0.0.1", stack.port);
+  Result<HttpClientResponse> denied =
+      client.Post("/v1/commit", R"({"dataset":"panel","hierarchy":"geo"})");
+  ASSERT_TRUE(denied.ok()) << denied.status().ToString();
+  EXPECT_EQ(denied->status, 401);
+  client.SetHeader("Authorization", "Bearer wire-tok");
+  Result<HttpClientResponse> allowed =
+      client.Post("/v1/commit", R"({"dataset":"panel","hierarchy":"geo"})");
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  EXPECT_EQ(allowed->status, 200);
+  // Streamed upload without the token: 401 through the rejecting sink.
+  client.SetHeader("Authorization", "");
+  Result<HttpClientResponse> upload = client.Post(
+      "/v1/datasets?name=n&dimensions=d,y&measures=m", kUploadCsv, "text/csv");
+  ASSERT_TRUE(upload.ok()) << upload.status().ToString();
+  EXPECT_EQ(upload->status, 401);
 }
 
 // ---- Hostile clients -------------------------------------------------------
@@ -664,7 +662,7 @@ TEST(NetHostileTest, ByteFreeIdleConnectionIsClosedSilently) {
 }
 
 TEST(NetHostileTest, MidBodyDisconnectLeavesServerHealthy) {
-  Stack stack(/*reactor=*/true);
+  Stack stack;
   {
     RawSocket buffered(stack.port);
     ASSERT_TRUE(buffered.ok());
@@ -683,7 +681,7 @@ TEST(NetHostileTest, MidBodyDisconnectLeavesServerHealthy) {
   // The server keeps serving, and the half-uploaded dataset never appeared.
   HttpClient client("127.0.0.1", stack.port);
   for (int attempt = 0; attempt < 50; ++attempt) {
-    if (stack.reactor_server->open_connections() == 0) break;
+    if (stack.server->open_connections() == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   Result<HttpClientResponse> health = client.Get("/healthz");
@@ -774,7 +772,7 @@ TEST(NetHostileTest, OversizedStreamedUploadRejectedWithoutBuffering) {
 // ---- Capacity --------------------------------------------------------------
 
 TEST(NetCapacityTest, Holds256IdleKeepAliveConnectionsWithFixedThreads) {
-  Stack stack(/*reactor=*/true);  // 1 loop thread + 2 workers, regardless of load
+  Stack stack;  // 1 loop thread + 2 workers, regardless of load
 
   int threads_before = ProcessThreadCount();
   ASSERT_GT(threads_before, 0);
@@ -800,11 +798,11 @@ TEST(NetCapacityTest, Holds256IdleKeepAliveConnectionsWithFixedThreads) {
   }
   // All 256 are open server-side...
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (stack.reactor_server->open_connections() < kConnections &&
+  while (stack.server->open_connections() < kConnections &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(stack.reactor_server->open_connections(), kConnections);
+  EXPECT_EQ(stack.server->open_connections(), kConnections);
   // ...and the thread count did not move: idle connections are state, not
   // threads.
   EXPECT_EQ(ProcessThreadCount(), threads_before);
@@ -846,11 +844,11 @@ TEST(NetCapacityTest, ConnectionsPastTheCapGet503) {
 }
 
 TEST(NetCapacityTest, StopFlushesInFlightResponses) {
-  Stack stack(/*reactor=*/true);
+  Stack stack;
   HttpClient client("127.0.0.1", stack.port);
   Result<HttpClientResponse> warm = client.Get("/healthz");
   ASSERT_TRUE(warm.ok());
-  stack.reactor_server->Stop();
+  stack.server->Stop();
   // After Stop() the port no longer accepts (or resets immediately).
   Result<HttpClientResponse> after = HttpClient("127.0.0.1", stack.port).Get("/healthz");
   EXPECT_FALSE(after.ok());
@@ -1005,11 +1003,11 @@ TEST(CsvStreamTest, EdgeFramingIdenticalAcrossBufferedAndChunkedFeeds) {
 
 // ---- Snapshot routes (differential) ----------------------------------------
 
-// POST /v1/datasets/{name}/snapshot then create-from-snapshot, over BOTH
-// front ends: the restored dataset answers byte-identically to the original
-// and — because the snapshot carries the fitted-model cache — without a
-// single new fit.
-TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarmOnBothFrontEnds) {
+// POST /v1/datasets/{name}/snapshot then create-from-snapshot over the wire:
+// the restored dataset answers byte-identically to the original and —
+// because the snapshot carries the fitted-model cache — without a single
+// new fit.
+TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarm) {
   auto model_fits = [](HttpClient& client) {
     Result<HttpClientResponse> health = client.Get("/healthz");
     EXPECT_TRUE(health.ok());
@@ -1018,100 +1016,86 @@ TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarmOnBothFrontEnds) {
     return parsed->Find("model_cache")->Find("fits")->IntValue();
   };
 
-  for (bool reactor : {false, true}) {
-    ServiceOptions service_options;
-    service_options.dataset_path_root = ::testing::TempDir();
-    Stack stack(reactor, service_options);
-    HttpClient client("127.0.0.1", stack.port);
-    const std::string batch_body = BatchBody(R"("dataset":"panel")");
-    const std::string snap_name =
-        reactor ? "restart-reactor.snap" : "restart-threaded.snap";
+  ServiceOptions service_options;
+  service_options.dataset_path_root = ::testing::TempDir();
+  Stack stack(service_options);
+  HttpClient client("127.0.0.1", stack.port);
+  const std::string batch_body = BatchBody(R"("dataset":"panel")");
+  const std::string snap_name = "restart.snap";
 
-    // Warm the panel (aggregates + fits), then snapshot it.
-    Result<HttpClientResponse> warm = client.Post("/v1/recommend_batch", batch_body);
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    ASSERT_EQ(warm->status, 200);
-    Result<HttpClientResponse> saved = client.Post(
-        "/v1/datasets/panel/snapshot", R"({"path":")" + snap_name + R"("})");
-    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
-    ASSERT_EQ(saved->status, 201) << saved->body;
-    EXPECT_NE(saved->body.find("\"dataset\":\"panel\""), std::string::npos) << saved->body;
-    EXPECT_NE(saved->body.find("\"path\":\"" + snap_name + "\""), std::string::npos);
+  // Warm the panel (aggregates + fits), then snapshot it.
+  Result<HttpClientResponse> warm = client.Post("/v1/recommend_batch", batch_body);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->status, 200);
+  Result<HttpClientResponse> saved = client.Post(
+      "/v1/datasets/panel/snapshot", R"({"path":")" + snap_name + R"("})");
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->status, 201) << saved->body;
+  EXPECT_NE(saved->body.find("\"dataset\":\"panel\""), std::string::npos) << saved->body;
+  EXPECT_NE(saved->body.find("\"path\":\"" + snap_name + "\""), std::string::npos);
 
-    // Restore under a new name, with the default session committed to the
-    // same drill state as the panel's.
-    Result<HttpClientResponse> restored = client.Post(
-        "/v1/datasets", R"({"name":"restored","snapshot":")" + snap_name +
-                            R"(","commits":["time"]})");
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ASSERT_EQ(restored->status, 201) << restored->body;
-    EXPECT_NE(restored->body.find("\"dataset\":\"restored\""), std::string::npos)
-        << restored->body;
+  // Restore under a new name, with the default session committed to the
+  // same drill state as the panel's.
+  Result<HttpClientResponse> restored = client.Post(
+      "/v1/datasets", R"({"name":"restored","snapshot":")" + snap_name +
+                          R"(","commits":["time"]})");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->status, 201) << restored->body;
+  EXPECT_NE(restored->body.find("\"dataset\":\"restored\""), std::string::npos)
+      << restored->body;
 
-    // The restored dataset answers byte-identically with zero new fits.
-    int64_t fits_before = model_fits(client);
-    Result<HttpClientResponse> replay =
-        client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"restored")"));
-    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-    ASSERT_EQ(replay->status, 200);
-    EXPECT_EQ(replay->body, warm->body) << (reactor ? "reactor" : "threaded");
-    EXPECT_EQ(model_fits(client), fits_before)
-        << "restored dataset trained models despite a warm snapshot";
-  }
+  // The restored dataset answers byte-identically with zero new fits.
+  int64_t fits_before = model_fits(client);
+  Result<HttpClientResponse> replay =
+      client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"restored")"));
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_EQ(replay->status, 200);
+  EXPECT_EQ(replay->body, warm->body);
+  EXPECT_EQ(model_fits(client), fits_before)
+      << "restored dataset trained models despite a warm snapshot";
 }
 
 // ---- Keep-alive request caps -----------------------------------------------
 
 // With max_requests_per_connection = N, response N carries Connection: close
 // and the socket is cleanly closed: request N+1 on the same connection gets
-// EOF, not a hang (clients reconnect). The satellite case: 257 pipelined
-// requests against a cap of 256.
-TEST(NetKeepAliveLimitTest, Request257GetsCleanCloseOnBothFrontEnds) {
+// EOF, not a hang (clients reconnect): 257 pipelined requests against a cap
+// of 256.
+TEST(NetKeepAliveLimitTest, Request257GetsCleanClose) {
   constexpr int kCap = 256;
-  const HttpHandler handler = [](const HttpRequest&) {
+  ReactorServerOptions options;
+  options.num_threads = 1;
+  options.tick_interval_ms = 25;
+  options.max_requests_per_connection = kCap;
+  ReactorServer server(std::move(options), [](const HttpRequest&) {
     return HttpResponse::Json(200, "{\"pong\":true}");
-  };
+  });
+  ASSERT_TRUE(server.Start().ok());
 
-  HttpServerOptions threaded_options;
-  threaded_options.num_threads = 1;
-  threaded_options.max_requests_per_connection = kCap;
-  HttpServer threaded(std::move(threaded_options), handler);
-  ASSERT_TRUE(threaded.Start().ok());
-
-  ReactorServerOptions reactor_options;
-  reactor_options.num_threads = 1;
-  reactor_options.tick_interval_ms = 25;
-  reactor_options.max_requests_per_connection = kCap;
-  ReactorServer reactor(std::move(reactor_options), handler);
-  ASSERT_TRUE(reactor.Start().ok());
-
-  for (int port : {threaded.port(), reactor.port()}) {
-    std::string pipelined;
-    for (int i = 0; i < kCap + 1; ++i) {
-      pipelined += "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
-    }
-    RawSocket socket(port);
-    ASSERT_TRUE(socket.ok());
-    ASSERT_TRUE(socket.Send(pipelined));
-    std::string raw = socket.ReadUntilClosed(10000);
-
-    // Exactly kCap responses: the 257th request was never answered.
-    size_t responses = 0;
-    for (size_t pos = raw.find("HTTP/1.1 200"); pos != std::string::npos;
-         pos = raw.find("HTTP/1.1 200", pos + 1)) {
-      ++responses;
-    }
-    EXPECT_EQ(responses, static_cast<size_t>(kCap)) << "port=" << port;
-    // The final response announced the close; none before it did.
-    size_t close_header = raw.find("Connection: close");
-    ASSERT_NE(close_header, std::string::npos) << "port=" << port;
-    EXPECT_EQ(raw.find("Connection: close", close_header + 1), std::string::npos);
-    EXPECT_GT(close_header, raw.rfind("HTTP/1.1 200"));
-    // And the server really closed: EOF, not silence.
-    EXPECT_TRUE(socket.WaitForEof(5000)) << "port=" << port;
+  std::string pipelined;
+  for (int i = 0; i < kCap + 1; ++i) {
+    pipelined += "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
   }
-  threaded.Stop();
-  reactor.Stop();
+  RawSocket socket(server.port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.Send(pipelined));
+  std::string raw = socket.ReadUntilClosed(10000);
+
+  // Exactly kCap responses: the 257th request was never answered.
+  size_t responses = 0;
+  for (size_t pos = raw.find("HTTP/1.1 200"); pos != std::string::npos;
+       pos = raw.find("HTTP/1.1 200", pos + 1)) {
+    ++responses;
+  }
+  EXPECT_EQ(responses, static_cast<size_t>(kCap));
+  // The final response announced the close; none before it did.
+  size_t close_header = raw.find("Connection: close");
+  ASSERT_NE(close_header, std::string::npos);
+  EXPECT_EQ(raw.find("Connection: close", close_header + 1), std::string::npos);
+  EXPECT_GT(close_header, raw.rfind("HTTP/1.1 200"));
+  // And the server really closed: EOF, not silence.
+  EXPECT_TRUE(socket.WaitForEof(5000));
+  server.Stop();
 }
 
 // A cap of 1 degenerates to Connection: close on every response.

@@ -1,7 +1,8 @@
-// Loopback integration tests for the HTTP front end (src/server/): routing,
-// request mapping, the StatusCode -> HTTP error contract, request framing
-// limits, keep-alive, concurrent clients, and — the core guarantee — that
-// HTTP response bodies are byte-identical to direct Session calls.
+// Loopback integration tests for the HTTP service (src/server/) behind the
+// reactor front end (src/net/): routing, request mapping, the StatusCode ->
+// HTTP error contract, request framing limits, keep-alive, concurrent
+// clients, and — the core guarantee — that HTTP response bodies are
+// byte-identical to direct Session calls.
 
 #include <unistd.h>
 
@@ -17,11 +18,11 @@
 #include "common/json_util.h"
 #include "datagen/panel_gen.h"
 #include "gtest/gtest.h"
+#include "net/reactor_server.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "reptile/reptile.h"
 #include "server/http_client.h"
-#include "server/http_server.h"
 #include "server/json.h"
 #include "server/service.h"
 
@@ -122,10 +123,10 @@ class ServerTest : public ::testing::Test {
     EXPECT_TRUE(service_->AddDataset("fresh", MakePanel()).ok());
     EXPECT_TRUE(service_->AddDataset("exhausted", MakePanel(), {"time", "geo", "geo"}).ok());
 
-    HttpServerOptions options;
+    ReactorServerOptions options;
     options.port = 0;
     options.num_threads = 4;
-    server_ = std::make_unique<HttpServer>(
+    server_ = std::make_unique<ReactorServer>(
         options, [this](const HttpRequest& request) { return service_->Handle(request); });
     Status started = server_->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -137,7 +138,7 @@ class ServerTest : public ::testing::Test {
 
   Session direct_;
   std::unique_ptr<ReptileService> service_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<ReactorServer> server_;
 };
 
 // Expects a response with the given HTTP status whose error body names the
@@ -1028,11 +1029,11 @@ TEST_F(ServerTest, ConcurrentSessionLifecycleIsSafeAndIsolated) {
 TEST(ServerLimits, OversizedBodyIsRejected) {
   ReptileService service;
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-  HttpServerOptions options;
+  ReactorServerOptions options;
   options.port = 0;
   options.num_threads = 2;
   options.max_body_bytes = 128;
-  HttpServer server(options,
+  ReactorServer server(options,
                     [&service](const HttpRequest& request) { return service.Handle(request); });
   ASSERT_TRUE(server.Start().ok());
 
@@ -1053,11 +1054,11 @@ TEST(ServerLimits, OversizedBodyIsRejected) {
 TEST(ServerLimits, OversizedHeaderSectionIsRejected) {
   ReptileService service;
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-  HttpServerOptions options;
+  ReactorServerOptions options;
   options.port = 0;
   options.num_threads = 1;
   options.max_header_bytes = 256;
-  HttpServer server(options,
+  ReactorServer server(options,
                     [&service](const HttpRequest& request) { return service.Handle(request); });
   ASSERT_TRUE(server.Start().ok());
 
@@ -1073,10 +1074,10 @@ TEST(ServerLimits, OversizedHeaderSectionIsRejected) {
 TEST(ServerLifecycle, StopFinishesInFlightAndRefusesNewConnections) {
   ReptileService service;
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-  HttpServerOptions options;
+  ReactorServerOptions options;
   options.port = 0;
   options.num_threads = 2;
-  auto server = std::make_unique<HttpServer>(
+  auto server = std::make_unique<ReactorServer>(
       options, [&service](const HttpRequest& request) { return service.Handle(request); });
   ASSERT_TRUE(server->Start().ok());
   int port = server->port();

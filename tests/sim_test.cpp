@@ -18,8 +18,8 @@
 #include "data/csv.h"
 #include "datagen/panel_gen.h"
 #include "gtest/gtest.h"
+#include "net/reactor_server.h"
 #include "net/token_bucket.h"
-#include "server/http_server.h"
 #include "server/service.h"
 #include "sim/arrival.h"
 #include "sim/event_queue.h"
@@ -367,9 +367,9 @@ TEST(TokenBucketTest, DefaultBurstIsAtLeastOne) {
 
 TEST(OpenLoopTest, SteadyScenarioValidatesEveryByteInProcess) {
   ReptileService service{ServiceOptions()};
-  HttpServerOptions options;
+  ReactorServerOptions options;
   options.num_threads = 4;
-  HttpServer server(options, [&service](const HttpRequest& request) {
+  ReactorServer server(options, [&service](const HttpRequest& request) {
     return service.Handle(request);
   });
   ASSERT_TRUE(server.Start().ok());
@@ -409,9 +409,9 @@ TEST(OpenLoopTest, SteadyScenarioValidatesEveryByteInProcess) {
 
 TEST(OpenLoopTest, ChurnScenarioAppendsMidRunAndStillValidatesEveryByte) {
   ReptileService service{ServiceOptions()};
-  HttpServerOptions options;
+  ReactorServerOptions options;
   options.num_threads = 4;
-  HttpServer server(options, [&service](const HttpRequest& request) {
+  ReactorServer server(options, [&service](const HttpRequest& request) {
     return service.Handle(request);
   });
   ASSERT_TRUE(server.Start().ok());
