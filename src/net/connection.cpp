@@ -187,7 +187,6 @@ void Connection::AdvanceParser() {
 void Connection::DispatchToHandler() {
   state_ = State::kHandling;
   SetReadInterest(false);
-  server_->requests_dispatched_.fetch_add(1);
   server_->DispatchHandler(id_, std::move(parser_.request()));
 }
 

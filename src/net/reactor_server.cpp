@@ -212,6 +212,8 @@ void ReactorServer::DispatchHandler(uint64_t connection_id, HttpRequest request)
       return;
     }
   }
+  // Counted only once the limiter admits it: a 429 never reaches the pool.
+  requests_dispatched_.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     ++handlers_in_flight_;

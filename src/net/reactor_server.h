@@ -114,6 +114,7 @@ class ReactorServer {
   int64_t backpressure_trips() const { return backpressure_trips_.load(); }
   int64_t slow_client_disconnects() const { return slow_client_disconnects_.load(); }
   int64_t overload_rejections() const { return overload_rejections_.load(); }
+  /// Requests handed to the handler pool: a 429 is not, a shed 503 is.
   int64_t requests_dispatched() const { return requests_dispatched_.load(); }
   int64_t requests_rate_limited() const { return requests_rate_limited_.load(); }
   int64_t requests_shed() const { return requests_shed_.load(); }

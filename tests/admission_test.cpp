@@ -151,6 +151,9 @@ TEST(AdmissionTest, RateLimitReturns429WithRetryAfter) {
   }
   EXPECT_EQ(server->requests_rate_limited(), 1);
   EXPECT_EQ(server->requests_shed(), 0);
+  // Dispatched means handed to the handler pool: the 2 admitted requests and
+  // the 6 exempt ones, never the 429.
+  EXPECT_EQ(server->requests_dispatched(), 8);
 }
 
 // Holds the front end's one worker on demand: the handler for /slow

@@ -421,6 +421,9 @@ TEST(NetDifferentialTest, MetricszServesHistogramsAndTransportGauges) {
       << metrics2->body.substr(0, 2000);
 }
 
+// A saturation sweep: 1, 4 and 16 concurrent keep-alive clients of 24
+// recommends each over the stack's 2 workers, every response a 200 whose
+// body is the in-process bytes.
 TEST(NetDifferentialTest, ConcurrentClientsSeeByteIdenticalBodies) {
   Stack reactor;
 
@@ -436,30 +439,33 @@ TEST(NetDifferentialTest, ConcurrentClientsSeeByteIdenticalBodies) {
     }
   }
 
-  constexpr int kClients = 4;
-  constexpr int kIterations = 6;
-  std::atomic<int> mismatches{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      HttpClient via_reactor("127.0.0.1", reactor.port);
-      for (int i = 0; i < kIterations; ++i) {
-        int year = (c + i) % kYears;
-        std::string body = RecommendBody(R"("dataset":"panel")", year);
-        Result<HttpClientResponse> rr = via_reactor.Post("/v1/recommend", body);
-        if (!rr.ok() || rr->status != 200) {
-          failures.fetch_add(1);
-          continue;
+  constexpr int kIterations = 24;
+  int64_t sent = 0;
+  for (int num_clients : {1, 4, 16}) {
+    std::atomic<int> mismatches{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < num_clients; ++c) {
+      clients.emplace_back([&, c] {
+        HttpClient via_reactor("127.0.0.1", reactor.port);
+        for (int i = 0; i < kIterations; ++i) {
+          int year = (c + i) % kYears;
+          std::string body = RecommendBody(R"("dataset":"panel")", year);
+          Result<HttpClientResponse> rr = via_reactor.Post("/v1/recommend", body);
+          if (!rr.ok() || rr->status != 200) {
+            failures.fetch_add(1);
+            continue;
+          }
+          if (rr->body != expected[year]) mismatches.fetch_add(1);
         }
-        if (rr->body != expected[year]) mismatches.fetch_add(1);
-      }
-    });
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0) << num_clients << " clients";
+    EXPECT_EQ(mismatches.load(), 0) << num_clients << " clients";
+    sent += num_clients * kIterations;
   }
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(reactor.server->requests_dispatched(), kClients * kIterations);
+  EXPECT_GE(reactor.server->requests_dispatched(), sent);
 }
 
 TEST(NetDifferentialTest, PipelinedRequestsAnsweredInOrder) {
@@ -807,11 +813,18 @@ TEST(NetCapacityTest, Holds256IdleKeepAliveConnectionsWithFixedThreads) {
   // threads.
   EXPECT_EQ(ProcessThreadCount(), threads_before);
 
-  // One of them still works with 255 idle siblings.
+  // A new connection is still served with 256 idle siblings, a recommend
+  // included: it answers the in-process bytes.
   HttpClient client("127.0.0.1", stack.port);
   Result<HttpClientResponse> response = client.Get("/healthz");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 200);
+  const WireCall recommend = {"recommend", "POST", "/v1/recommend",
+                              RecommendBody(R"("dataset":"panel")", 0)};
+  Result<HttpClientResponse> probe = client.Post(recommend.path, recommend.body);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(probe->status, 200);
+  EXPECT_EQ(probe->body, InProcess().Call(recommend).body);
 }
 
 TEST(NetCapacityTest, ConnectionsPastTheCapGet503) {

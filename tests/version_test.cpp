@@ -1,14 +1,15 @@
 // The incremental-version subsystem (version/, api/registry.h chains):
 // "name@vK" parsing, the MatchedPrefixDepth dirty planner, AppendRowsCsv's
 // dirty analysis and schema gate, the append-vs-cold-rebuild byte
-// differential, pinned-session isolation across appends, version-chain
-// resolution/GC/counters in DatasetRegistry, the concurrent append-vs-
-// recommend race scripts/check.sh re-runs under TSan, and the flattened
-// snapshot round-trip of an appended head.
+// differential and work counts, pinned-session isolation across appends,
+// version-chain resolution/GC/counters in DatasetRegistry, the concurrent
+// append-vs-recommend race scripts/check.sh re-runs under TSan, and the
+// flattened snapshot round-trip of an appended head.
 
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -369,6 +370,88 @@ TEST(AppendRowsCsv, PinnedSessionsAreUndisturbedByAppends) {
   EXPECT_EQ(TimelessJson(*fresh), before_bytes);
   EXPECT_EQ(warm->aggregate_builds(), 0);
   EXPECT_EQ(warm->models_trained(), 0);
+}
+
+// An analyst over `handle` with time committed and geo drilled `geo_depth`
+// levels.
+Result<Session> OpenAnalyst(const DatasetHandle& handle, int geo_depth) {
+  Result<Session> session = Session::Open(handle);
+  if (!session.ok()) return session;
+  Status restored = session->RestoreCommitted({{"time", 1}, {"geo", geo_depth}});
+  if (!restored.ok()) return restored;
+  return session;
+}
+
+// The append's reason to exist, in work counts. The same traffic runs in
+// two worlds: a shallow and a deep analyst run the full batch before and
+// after three delta rows land, and a fresh deep analyst probes the new head.
+// The version chain absorbs the delta with strictly fewer f-tree builds and
+// model fits than rebuilding from the concatenated CSV with every analyst
+// starting cold, builds only inside the subtrees the delta dirtied, and
+// moves no bytes: the head answers like the rebuild, the pinned analyst
+// like before.
+TEST(AppendRowsCsv, AppendDoesStrictlyLessWorkThanAColdRebuild) {
+  // New villages under known districts and years: only (geo, 2) dirties.
+  const std::string delta =
+      "district,village,year,severity\n"
+      "d0,d0_x,y0,1.5\n"
+      "d1,d1_x,y1,2.75\n"
+      "d2,d2_x,y2,3.5\n";
+  std::vector<ComplaintSpec> full;
+  for (int y = 0; y < 4; ++y) full.push_back(YearComplaint(y));
+  const std::span<const ComplaintSpec> probe(full.data(), 2);
+
+  // A shallow analyst (geo at the root) and a deep one (geo drilled a
+  // level, so it reads (geo, 2)), each running the full batch over `handle`.
+  auto analysts = [&full](const DatasetHandle& handle) {
+    std::vector<Session> sessions;
+    for (int geo_depth : {0, 1}) {
+      Result<Session> session = OpenAnalyst(handle, geo_depth);
+      EXPECT_TRUE(session.ok() && session->RecommendAll(full).ok());
+      if (session.ok()) sessions.push_back(std::move(session).value());
+    }
+    return sessions;
+  };
+  auto bytes = [](Session& session, const ComplaintSpec& complaint) {
+    Result<ExploreResponse> response = session.Recommend(complaint);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? TimelessJson(*response) : std::string();
+  };
+
+  // Versioned: the analysts warm v1 and stay pinned to it.
+  Result<DatasetHandle> v1 = PreparedDataset::Prepare(MakePanel());
+  ASSERT_TRUE(v1.ok());
+  std::vector<Session> pinned = analysts(*v1);
+  ASSERT_EQ(pinned.size(), 2u);
+  const std::string pinned_before = bytes(pinned[1], full[0]);
+
+  // From here on every build and fit is the price of the delta. v1 and v2
+  // share the cache objects, so v1's counters cover both.
+  const int64_t builds_before = (*v1)->cache_misses();
+  const int64_t fits_before = (*v1)->model_cache_fits();
+  Result<AppendResult> appended = AppendRowsCsv(*v1, delta);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(appended->invalidated_entries, 1);
+  for (Session& session : pinned) ASSERT_TRUE(session.RecommendAll(full).ok());
+  Result<Session> head = OpenAnalyst(appended->child, 1);
+  ASSERT_TRUE(head.ok() && head->RecommendAll(probe).ok());
+  const int64_t builds_append = (*v1)->cache_misses() - builds_before;
+  const int64_t fits_append = (*v1)->model_cache_fits() - fits_before;
+
+  // Unversioned: the same traffic on a cold rebuild.
+  DatasetHandle cold = PrepareFromCsv(RenderTableCsv((*v1)->table()) + DataRows(delta));
+  analysts(cold);
+  Result<Session> cold_head = OpenAnalyst(cold, 1);
+  ASSERT_TRUE(cold_head.ok() && cold_head->RecommendAll(probe).ok());
+
+  EXPECT_LT(builds_append, cold->cache_misses());
+  EXPECT_LT(fits_append, cold->model_cache_fits());
+  EXPECT_LE(builds_append, appended->invalidated_entries)
+      << "an f-tree was rebuilt outside the subtrees the delta dirtied";
+  for (const ComplaintSpec& complaint : probe) {
+    EXPECT_EQ(bytes(*head, complaint), bytes(*cold_head, complaint));
+  }
+  EXPECT_EQ(bytes(pinned[1], full[0]), pinned_before);
 }
 
 // DatasetRegistry's chain mechanics: head/@vK resolution, AppendVersion's
