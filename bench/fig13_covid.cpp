@@ -62,7 +62,7 @@ MethodResult RunIssue(bool global, const CovidIssueSpec& issue) {
     // coefficients (the paper's "systematic variation between parent
     // groups"), which the multiplicative epidemic curves require.
     EngineOptions options;
-    options.random_effects = RandomEffects::kAllFeatures;
+    options.model.AllRandomEffects();
     Engine engine(&panel, options);
     engine.ExcludeFromRandomEffects(loc_attr);
     for (const auto& [name, lag] : {std::make_pair("lag1", &lag1),

@@ -30,7 +30,7 @@ int main() {
   Table lag7 = MakeCovidLagTable(panel, issue.measure, 7);
 
   Result<Session> session = Session::Create(
-      std::move(panel), ExploreRequest().RandomEffects("all"));
+      std::move(panel), ExploreRequest().Model(ModelSpec().AllRandomEffects()));
   ExitOnError(session.status());
   ExitOnError(session->ExcludeFromRandomEffects("state"));
   for (auto& [name, lag] : {std::make_pair("lag1", &lag1), std::make_pair("lag7", &lag7)}) {

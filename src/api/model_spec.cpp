@@ -86,14 +86,12 @@ const char* ModelSpec::BackendName(Backend backend) {
 
 const char* ModelSpec::RandomPolicyName(RandomPolicy policy) {
   switch (policy) {
-    case RandomPolicy::kDefault:
-      return "default";
     case RandomPolicy::kIntercepts:
       return "intercepts";
     case RandomPolicy::kAll:
       return "all";
   }
-  return "default";
+  return "intercepts";
 }
 
 std::optional<ModelSpec::Kind> ModelSpec::ParseKind(const std::string& name) {

@@ -1,12 +1,7 @@
-// reptile::ModelSpec — the one per-call description of HOW a recommendation's
-// models are trained.
-//
-// Before this type, model configuration was smeared across ad-hoc knobs:
-// EngineOptions::backend / ::model / ::em, ExploreRequest's string fields,
-// and BatchOptions::RepairAlso. A ModelSpec gathers the whole surface —
-// model family, training backend, EM iteration/tolerance caps, the extra
-// primitive statistics frepair restores, and the fitted-model-cache opt-out
-// — into a single value that
+// reptile::ModelSpec — the one description of HOW a recommendation's models
+// are trained: model family, training backend, random-effect policy, EM
+// iteration/tolerance caps, the extra primitive statistics frepair restores,
+// and the fitted-model-cache opt-out, in a single value that
 //
 //   * configures a session (ExploreRequest::Model(ModelSpec)),
 //   * overrides one call (BatchOptions::Model(ModelSpec)) — a per-call spec
@@ -44,20 +39,19 @@ struct ModelSpec {
   /// Matlab/LAPACK-style baseline), or pick automatically.
   enum class Backend { kAuto, kFactorized, kDense };
 
-  /// Which columns get random effects (paper Section 3.2's Z design matrix):
-  /// only the intercept (the default), or every non-excluded feature column.
-  /// kDefault inherits the session's engine-level policy
-  /// (EngineOptions::random_effects / ExploreRequest::RandomEffects) — the
-  /// one ModelSpec field that does NOT reset to a fixed default on a
-  /// per-call override, because the policy predates ModelSpec and sessions
-  /// configure it separately. The engine canonicalizes kDefault away in
-  /// EffectiveModelSpec(), so echoed/cached specs always carry a concrete
-  /// policy.
-  enum class RandomPolicy { kDefault, kIntercepts, kAll };
+  /// Which columns get random effects: the Z design matrix of Section 3.3.4.
+  /// The paper sets Z = X by default but notes Z "may be tuned to only keep
+  /// attributes relevant within clusters": with Z = X and small clusters the
+  /// per-cluster regression can interpolate a corrupted group (high
+  /// leverage), defeating the repair. The default is therefore random
+  /// intercepts (kIntercepts) — the standard multilevel default (lme /
+  /// statsmodels) — and Z = X (kAll, every feature column not excluded via
+  /// Session::ExcludeFromRandomEffects) is the option.
+  enum class RandomPolicy { kIntercepts, kAll };
 
   Kind kind = Kind::kMultiLevel;
   Backend backend = Backend::kAuto;
-  RandomPolicy random_effects = RandomPolicy::kDefault;
+  RandomPolicy random_effects = RandomPolicy::kIntercepts;
   // EM caps: at most `em_iterations` iterations (the paper's default 20),
   // stopping early once the max |Δbeta| of an iteration falls below
   // `em_tolerance` (0 = run every iteration, the bit-reproducible default).
@@ -95,8 +89,7 @@ struct ModelSpec {
   /// policy, EM caps). extra_repair_stats only widens WHICH primitives are
   /// fitted — each primitive's model is identical either way — and fit_cache
   /// only gates cache use, so neither partitions the key. The engine always
-  /// keys on the canonicalized (EffectiveModelSpec) spec, so the policy
-  /// token is concrete, never "default".
+  /// keys on the canonicalized (EffectiveModelSpec) spec.
   std::string CacheKey() const;
 
   bool operator==(const ModelSpec&) const = default;
@@ -106,8 +99,7 @@ struct ModelSpec {
   static const char* RandomPolicyName(RandomPolicy policy);
   /// Inverse of the Name functions ("multilevel"/"linear",
   /// "auto"/"factorized"/"dense", "intercepts"/"all"); nullopt for unknown
-  /// names. RandomPolicy has no wire spelling for kDefault — omitting the
-  /// field is how a request inherits the session policy.
+  /// names.
   static std::optional<Kind> ParseKind(const std::string& name);
   static std::optional<Backend> ParseBackend(const std::string& name);
   static std::optional<RandomPolicy> ParseRandomPolicy(const std::string& name);

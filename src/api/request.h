@@ -74,46 +74,23 @@ struct AuxiliaryRequest {
   bool normalize = true;
 };
 
-/// Session-level exploration options, by name; resolved to the internal
+/// Session-level exploration options; resolved to the internal
 /// EngineOptions when the session is created.
-///
-/// Model configuration: prefer Model(ModelSpec) — one value holding the
-/// family, backend, EM caps, extra repair primitives and the fit-cache
-/// opt-out. The string fields model/backend/em_iterations and the
-/// extra_repair_stats list below are the DEPRECATED pre-ModelSpec spelling;
-/// they keep working, but an explicit ModelSpec wins over all of them.
 struct ExploreRequest {
   int top_k = 5;
-  // Preferred model surface: engaged via Model(ModelSpec) (or assignment);
-  // when set, the four deprecated fields below are ignored.
-  std::optional<ModelSpec> model_spec;
-  std::string model = "multilevel";           // deprecated: "multilevel" | "linear"
-  std::string backend = "auto";               // deprecated: "auto" | "factorized" | "dense"
-  std::string random_effects = "intercepts";  // "intercepts" | "all"
-  std::string drill_cache = "cache_dynamic";  // "static" | "dynamic" | "cache_dynamic"
-  int em_iterations = 20;                     // deprecated: ModelSpec::EmIterations
-  std::vector<std::string> extra_repair_stats;  // deprecated: e.g. {"count"} (Appendix N)
+  // How the session's models are trained: family, backend, random-effect
+  // policy, EM caps, extra repair primitives and the fit-cache opt-out.
+  ModelSpec model;
   // Worker threads for each Recommend/RecommendAll call: 0 = hardware
-  // concurrency, 1 = sequential. Recommendations are identical at every
+  // concurrency, 1 = sequential. Any width at or above the machine default
+  // runs on the process-wide shared compute pool, so no value starts more
+  // threads than the machine has. Recommendations are identical at every
   // setting; only timings change.
   int num_threads = 0;
-  // Fan compute out over the process-wide shared worker pool when the
-  // resolved width is the machine default (true, the default), so many
-  // concurrent sessions in one server share one set of workers. false keeps
-  // every pool session-owned.
-  bool shared_pool = true;
 
   ExploreRequest& TopK(int k);
-  /// Sets the complete model configuration (preferred).
   ExploreRequest& Model(ModelSpec spec);
-  ExploreRequest& Model(std::string name);  // deprecated string spelling
-  ExploreRequest& Backend(std::string name);
-  ExploreRequest& RandomEffects(std::string name);
-  ExploreRequest& DrillCache(std::string name);
-  ExploreRequest& EmIterations(int iters);
-  ExploreRequest& RepairAlso(std::string aggregate);
   ExploreRequest& Threads(int n);
-  ExploreRequest& SharedPool(bool share);
 
   /// Validates every knob and resolves to the internal engine options.
   Result<EngineOptions> Resolve() const;
@@ -128,14 +105,8 @@ struct BatchOptions {
   int top_k = 0;        // 0 = session option
   // Complete per-call model configuration (the wire's `options.model`):
   // disengaged inherits the session's; engaged REPLACES it wholesale for
-  // this call — including extra_repair_stats, so combining it with the
-  // deprecated list below is rejected as InvalidArgument.
+  // this call, every field included.
   std::optional<ModelSpec> model;
-  // Deprecated (subsumed by ModelSpec::extra_repair_stats): extra repair
-  // statistics for this call only (Appendix N), by aggregate name ("count",
-  // "sum", ...): disengaged inherits the session's extra_repair_stats;
-  // engaged-and-empty toggles extras off for the call.
-  std::optional<std::vector<std::string>> extra_repair_stats;
   // Per-request trace (obs/trace.h): when set, this call records
   // validate/plan/fit/rank stage spans onto it — the HTTP layer threads the
   // request's TraceContext through here. Borrowed for the call; nullptr
@@ -144,13 +115,7 @@ struct BatchOptions {
 
   BatchOptions& Threads(int n);
   BatchOptions& TopK(int k);
-  /// Sets the complete per-call model configuration (preferred).
   BatchOptions& Model(ModelSpec spec);
-  /// Adds one per-call extra repair statistic (engages the override).
-  BatchOptions& RepairAlso(std::string aggregate);
-  /// Forces the call to repair only the complaint's own primitives, even
-  /// when the session was built with extra_repair_stats.
-  BatchOptions& NoExtraRepairStats();
   /// Attaches the per-request trace context (see the field comment).
   BatchOptions& WithTrace(TraceContext* t);
 };

@@ -236,24 +236,6 @@ Result<BatchExploreResponse> Session::RecommendAll(std::span<const ComplaintSpec
     return Status::InvalidArgument("per-call top_k must be >= 0 (0 = session option), got " +
                                    std::to_string(options.top_k));
   }
-  if (options.model.has_value() && options.extra_repair_stats.has_value()) {
-    return Status::InvalidArgument(
-        "per-call options engage both \"model\" and the deprecated "
-        "\"extra_repair_stats\"; a ModelSpec carries its own extra_repair_stats — set "
-        "them there");
-  }
-  std::optional<std::vector<AggFn>> extra_stats;
-  if (options.extra_repair_stats.has_value()) {
-    extra_stats.emplace();
-    for (const std::string& name : *options.extra_repair_stats) {
-      std::optional<AggFn> fn = ParseAggFn(name);
-      if (!fn.has_value()) {
-        return Status::InvalidArgument("unknown extra repair statistic '" + name +
-                                       "' (expected one of count, sum, mean, std, var)");
-      }
-      extra_stats->push_back(*fn);
-    }
-  }
   const Dataset& dataset = impl_->data();
   Engine& engine = *impl_->engine;
 
@@ -298,7 +280,6 @@ Result<BatchExploreResponse> Session::RecommendAll(std::span<const ComplaintSpec
   overrides.top_k = options.top_k;
   overrides.trace = options.trace;
   if (options.model.has_value()) overrides.model = &*options.model;
-  if (extra_stats.has_value()) overrides.extra_repair_stats = &*extra_stats;
 
   // The echo every response carries: the spec the fit stage will run, with
   // "auto" canonicalized to the backend it picks when statically known.

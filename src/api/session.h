@@ -78,7 +78,7 @@ class Session {
   Status RegisterAuxiliary(AuxiliaryRequest request);
 
   /// Excludes a feature (attribute or auxiliary name) from the random-effect
-  /// matrix Z (paper §3.3.4); only meaningful with random_effects = "all".
+  /// matrix Z (paper §3.3.4); only meaningful with ModelSpec::RandomPolicy::kAll.
   Status ExcludeFromRandomEffects(const std::string& feature_name);
 
   /// Computes an aggregate view — the object the user inspects before

@@ -212,9 +212,6 @@ Status Engine::ValidateModelSpec(const ModelSpec& spec) const {
 
 ModelSpec Engine::EffectiveModelSpec(const BatchOverrides& overrides) const {
   ModelSpec spec = overrides.model != nullptr ? *overrides.model : options_.model;
-  if (overrides.model == nullptr && overrides.extra_repair_stats != nullptr) {
-    spec.extra_repair_stats = *overrides.extra_repair_stats;
-  }
   if (spec.backend == ModelSpec::Backend::kAuto) {
     // kAuto picks factorised iff every feature is single-attribute, which is
     // statically certain unless a multi-attribute auxiliary is registered
@@ -227,13 +224,6 @@ ModelSpec Engine::EffectiveModelSpec(const BatchOverrides& overrides) const {
     }
     if (!multi_attribute) spec.backend = ModelSpec::Backend::kFactorized;
   }
-  if (spec.random_effects == ModelSpec::RandomPolicy::kDefault) {
-    // A spec that does not name a random-effect policy inherits the engine
-    // option — the pre-ModelSpec configuration surface sessions still use.
-    spec.random_effects = options_.random_effects == RandomEffects::kInterceptOnly
-                              ? ModelSpec::RandomPolicy::kIntercepts
-                              : ModelSpec::RandomPolicy::kAll;
-  }
   return spec;
 }
 
@@ -244,15 +234,14 @@ Recommendation Engine::RecommendDrillDown(const Complaint& complaint) {
 
 ThreadPool* Engine::PoolFor(int num_threads) {
   if (num_threads <= 1) return nullptr;
-  // Machine-default width with sharing on: every engine in the process fans
+  // At or above the machine-default width: every engine in the process fans
   // out over the one SharedThreadPool(), so N concurrent sessions cost one
-  // set of workers, not N. Concurrent ParallelFor calls on a pool are safe
-  // (per-call latches); the engine's own tasks never submit to the pool they
-  // run on, so sharing cannot deadlock.
-  if (options_.share_pool && num_threads == ThreadPool::DefaultThreads()) {
-    return SharedThreadPool();
-  }
-  // Otherwise: one owned pool per requested width, kept for the engine's
+  // set of workers, not N, and a request's width never starts threads the
+  // machine has no cores for. Concurrent ParallelFor calls on a pool are
+  // safe (per-call latches); the engine's own tasks never submit to the
+  // pool they run on, so sharing cannot deadlock.
+  if (num_threads >= ThreadPool::DefaultThreads()) return SharedThreadPool();
+  // Below it: one owned pool per requested width, kept for the engine's
   // lifetime — a caller alternating per-call widths (say 4 and 8) must not
   // tear down and respawn workers on every batch. Idle pools cost a few
   // parked threads; the set of widths a caller actually uses is small.
@@ -274,7 +263,7 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   if (num_threads == 0) num_threads = ThreadPool::DefaultThreads();
   const int top_k = overrides.top_k > 0 ? overrides.top_k : options_.top_k;
   // One resolved ModelSpec for the whole call: per-call override or engine
-  // option, legacy extra-stats override folded in, backend canonicalized.
+  // option, backend canonicalized.
   const ModelSpec spec = EffectiveModelSpec(overrides);
   const std::vector<AggFn>& extra_stats = spec.extra_repair_stats;
   ThreadPool* pool = PoolFor(num_threads);
@@ -682,15 +671,9 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
   }
 
   // Random-effect columns (§3.3.4): intercept-only by default, or every
-  // non-excluded feature. The policy comes from the effective spec (the
-  // caller canonicalized kDefault away); the engine option is only the
-  // fallback for a raw spec handed in directly.
+  // non-excluded feature.
   std::vector<int> z_cols;
-  bool intercept_only =
-      spec.random_effects == ModelSpec::RandomPolicy::kDefault
-          ? options_.random_effects == RandomEffects::kInterceptOnly
-          : spec.random_effects == ModelSpec::RandomPolicy::kIntercepts;
-  if (intercept_only) {
+  if (spec.random_effects == ModelSpec::RandomPolicy::kIntercepts) {
     z_cols.push_back(0);
   } else {
     for (int c = 0; c < fm.num_cols(); ++c) {

@@ -64,35 +64,20 @@ struct CustomFeatureSpec {
   CustomFeatureFn fn;
 };
 
-/// Random-effect matrix policy (Section 3.3.4). The paper sets Z = X by
-/// default but notes Z "may be tuned to only keep attributes relevant within
-/// clusters": with Z = X and small clusters the per-cluster regression can
-/// interpolate a corrupted group (high leverage), defeating the repair. The
-/// engine therefore defaults to random intercepts — the standard multilevel
-/// default (lme / statsmodels) — and offers Z = X as an option; individual
-/// features can further be excluded by name.
-enum class RandomEffects { kInterceptOnly, kAllFeatures };
-
 struct EngineOptions {
   int top_k = 5;
-  // How models are trained: family, backend, EM caps, extra repair
-  // primitives, fitted-model-cache opt-out. This single spec subsumes the
-  // pre-ModelSpec knobs (EngineOptions::model/backend/em/extra_repair_stats).
+  // How models are trained: family, backend, random-effect policy, EM caps,
+  // extra repair primitives, fitted-model-cache opt-out.
   ModelSpec model;
-  RandomEffects random_effects = RandomEffects::kInterceptOnly;
   DrillDownState::Mode drill_mode = DrillDownState::Mode::kCacheDynamic;
   // Worker threads for the plan/execute fan-out: 0 = hardware concurrency,
-  // 1 = fully sequential (inline, no pool). Recommendations are element-wise
-  // identical at every setting; only the timing fields differ.
+  // 1 = fully sequential (inline, no pool). A width at or above the machine
+  // default runs on the process-wide SharedThreadPool(), so many concurrent
+  // engines in one process (a server) share one set of workers and no width
+  // starts more threads than the machine has; a width in between gets an
+  // engine-owned pool of exactly that width. Recommendations are
+  // element-wise identical at every setting; only the timing fields differ.
   int num_threads = 0;
-  // When true (the default) and the resolved width equals the machine-wide
-  // default, the fan-out runs on the process-wide SharedThreadPool() so many
-  // concurrent engines in one process (a server) share one set of workers
-  // instead of each spawning hardware_concurrency threads. Set false to keep
-  // every pool engine-owned (isolation; e.g. embedding next to another
-  // workload). Explicit non-default widths always use an owned pool of
-  // exactly that width.
-  bool share_pool = true;
 };
 
 /// Per-invocation overrides for one RecommendBatch call, distinct from the
@@ -102,15 +87,9 @@ struct BatchOverrides {
   int num_threads = 0;  // 0 = engine option; 1 = force sequential
   int top_k = 0;        // 0 = engine option
   // Complete per-call ModelSpec: nullptr = engine option. When set it
-  // replaces the engine's model configuration wholesale for this call
-  // (including extra_repair_stats — the legacy pointer below is ignored).
+  // replaces the engine's model configuration wholesale for this call.
   // The pointee is borrowed for the duration of the call.
   const ModelSpec* model = nullptr;
-  // Deprecated (subsumed by ModelSpec::extra_repair_stats): extra statistics
-  // frepair restores for this call only (Appendix N). nullptr = engine
-  // option; a pointer to an empty vector toggles extras off. Consulted only
-  // when `model` is null. The pointee is borrowed for the call.
-  const std::vector<AggFn>* extra_repair_stats = nullptr;
   // Per-request trace (obs/trace.h): when set, RecommendBatch records
   // plan/fit/rank stage spans (the fit span's detail carries the cache
   // hit/miss split) onto it. nullptr = untraced, zero recording overhead.
@@ -262,13 +241,11 @@ class Engine {
   Status ValidateModelSpec(const ModelSpec& spec) const;
 
   /// The ModelSpec a call with `overrides` would actually run: the per-call
-  /// spec (or the engine option) with the legacy extra-repair-stats override
-  /// folded in, kAuto canonicalized to the backend it will pick when that
-  /// is statically known (every feature single-attribute — always true
-  /// without multi-attribute auxiliaries), and RandomPolicy::kDefault
-  /// resolved to the engine-level policy (EngineOptions::random_effects).
-  /// This is both the response echo and the fitted-model cache-key spec, so
-  /// what clients see is what keyed the cache.
+  /// spec (or the engine option) with kAuto canonicalized to the backend it
+  /// will pick when that is statically known (every feature single-attribute
+  /// — always true without multi-attribute auxiliaries). This is both the
+  /// response echo and the fitted-model cache-key spec, so what clients see
+  /// is what keyed the cache.
   ModelSpec EffectiveModelSpec(const BatchOverrides& overrides = {}) const;
 
   /// Evaluates every drillable hierarchy and returns the ranked groups.
@@ -348,10 +325,10 @@ class Engine {
                                            bool charge_build) const;
 
   /// The worker pool for one batch: nullptr when num_threads resolves to 1;
-  /// the process-wide SharedThreadPool() when share_pool is on and the width
-  /// is the machine default; otherwise an owned pool of that width, created
-  /// once and reused by every later batch requesting the same width (no
-  /// churn when per-call widths vary).
+  /// the process-wide SharedThreadPool() when the width is at or above the
+  /// machine default; otherwise an owned pool of that width, created once
+  /// and reused by every later batch requesting the same width (no churn
+  /// when per-call widths vary).
   ThreadPool* PoolFor(int num_threads);
 
   std::shared_ptr<const void> owner_;  // may be null; keeps dataset_ alive

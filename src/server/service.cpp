@@ -209,21 +209,15 @@ Result<ModelSpec> ParseModelSpec(const JsonValue& value, const std::string& cont
   }
   spec.backend = *parsed_backend;
 
-  // Omitted = RandomPolicy::kDefault: inherit the session's policy instead
-  // of forcing one — the lone ModelSpec field with an inheriting default.
-  if (const JsonValue* policy = value.Find("random_effects")) {
-    if (!policy->is_string()) {
-      return WrongType(context + ".random_effects", "a string", *policy);
-    }
-    std::optional<ModelSpec::RandomPolicy> parsed_policy =
-        ModelSpec::ParseRandomPolicy(policy->string_value());
-    if (!parsed_policy.has_value()) {
-      return Status::InvalidArgument("unknown " + context + ".random_effects \"" +
-                                     policy->string_value() +
-                                     "\" (expected one of: intercepts, all)");
-    }
-    spec.random_effects = *parsed_policy;
+  Result<std::string> policy = StringField(value, context, "random_effects", false,
+                                           ModelSpec::RandomPolicyName(spec.random_effects));
+  if (!policy.ok()) return policy.status();
+  std::optional<ModelSpec::RandomPolicy> parsed_policy = ModelSpec::ParseRandomPolicy(*policy);
+  if (!parsed_policy.has_value()) {
+    return Status::InvalidArgument("unknown " + context + ".random_effects \"" + *policy +
+                                   "\" (expected one of: intercepts, all)");
   }
+  spec.random_effects = *parsed_policy;
 
   Result<int> em_iterations = IntField(value, context, "em_iterations", spec.em_iterations);
   if (!em_iterations.ok()) return em_iterations.status();
@@ -273,13 +267,8 @@ Result<WireOptions> ParseOptions(const JsonValue& body) {
   if (value == nullptr) return options;
   const std::string context = "options";
   if (!value->is_object()) return WrongType(context, "an object", *value);
-  REPTILE_RETURN_IF_ERROR(CheckKnownKeys(
-      *value, context, {"threads", "top_k", "model", "extra_repair_stats", "zero_timings"}));
-  if (value->Find("model") != nullptr && value->Find("extra_repair_stats") != nullptr) {
-    return Status::InvalidArgument(
-        "options has both \"model\" and the deprecated \"extra_repair_stats\"; a model "
-        "object carries its own extra_repair_stats — set them there");
-  }
+  REPTILE_RETURN_IF_ERROR(
+      CheckKnownKeys(*value, context, {"threads", "top_k", "model", "zero_timings"}));
   if (const JsonValue* model = value->Find("model")) {
     Result<ModelSpec> spec = ParseModelSpec(*model, context + ".model");
     if (!spec.ok()) return spec.status();
@@ -291,20 +280,6 @@ Result<WireOptions> ParseOptions(const JsonValue& body) {
   Result<int> top_k = IntField(*value, context, "top_k", 0);
   if (!top_k.ok()) return top_k.status();
   options.batch.top_k = *top_k;
-  if (const JsonValue* extras = value->Find("extra_repair_stats")) {
-    if (!extras->is_array()) {
-      return WrongType(context + ".extra_repair_stats", "an array", *extras);
-    }
-    options.batch.extra_repair_stats.emplace();  // engaged; empty = toggle off
-    const std::vector<JsonValue>& items = extras->array_items();
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (!items[i].is_string()) {
-        return WrongType(context + ".extra_repair_stats[" + std::to_string(i) + "]",
-                         "a string", items[i]);
-      }
-      options.batch.extra_repair_stats->push_back(items[i].string_value());
-    }
-  }
   Result<bool> zero_timings = BoolField(*value, context, "zero_timings", false);
   if (!zero_timings.ok()) return zero_timings.status();
   options.zero_timings = *zero_timings;

@@ -51,7 +51,7 @@ TEST(Integration, CovidTexasMissingReportsDetected) {
   Table lag7 = MakeCovidLagTable(panel, issue.measure, 7);
 
   EngineOptions options;
-  options.random_effects = RandomEffects::kAllFeatures;
+  options.model.AllRandomEffects();
   Engine engine(&panel, options);
   engine.ExcludeFromRandomEffects("state");
   for (const auto& [name, lag] : {std::make_pair("lag1", &lag1),

@@ -385,7 +385,7 @@ TEST(ModelCache, AuxiliaryRegistrationNeverReusesPreAuxModels) {
 TEST(ModelCache, RandomEffectExclusionInvalidatesLookups) {
   DatasetHandle handle = PreparePanel();
   ComplaintSpec complaint = ComplaintSpec::TooHigh("std", "severity").Where("year", "y1");
-  ExploreRequest all_effects = ExploreRequest().RandomEffects("all");
+  ExploreRequest all_effects = ExploreRequest().Model(ModelSpec().AllRandomEffects());
 
   Session a = OpenPanelSession(handle, all_effects);
   ASSERT_TRUE(a.Recommend(complaint).ok());
@@ -409,7 +409,7 @@ TEST(ModelCache, RandomEffectPolicyPartitionsKeys) {
   ASSERT_TRUE(intercepts.Recommend(complaint).ok());
   ASSERT_GT(intercepts.models_trained(), 0);
 
-  Session all = OpenPanelSession(handle, ExploreRequest().RandomEffects("all"));
+  Session all = OpenPanelSession(handle, ExploreRequest().Model(ModelSpec().AllRandomEffects()));
   ASSERT_TRUE(all.Recommend(complaint).ok());
   EXPECT_GT(all.models_trained(), 0);
   EXPECT_EQ(all.fit_cache_hits(), 0);
@@ -451,6 +451,27 @@ TEST(ModelSpecApi, EchoReportsWhatRan) {
   EXPECT_EQ(custom->best()->groups[0].predicted.count("count"), 1u);
 }
 
+// A per-call ModelSpec replaces the session's configuration wholesale, the
+// random-effect policy included: a per-call spec that names no policy runs
+// random intercepts (and fits its own models), whatever the session set.
+TEST(ModelSpecApi, PerCallSpecReplacesTheSessionRandomPolicy) {
+  DatasetHandle handle = PreparePanel();
+  Session session =
+      OpenPanelSession(handle, ExploreRequest().Model(ModelSpec().AllRandomEffects()));
+  ComplaintSpec complaint = ComplaintSpec::TooHigh("std", "severity").Where("year", "y1");
+
+  Result<ExploreResponse> session_policy = session.Recommend(complaint);
+  ASSERT_TRUE(session_policy.ok()) << session_policy.status().ToString();
+  EXPECT_EQ(session_policy->model.random_effects, "all");
+  int64_t fits_after_session_policy = session.models_trained();
+
+  Result<ExploreResponse> per_call =
+      session.Recommend(complaint, BatchOptions().Model(ModelSpec()));
+  ASSERT_TRUE(per_call.ok()) << per_call.status().ToString();
+  EXPECT_EQ(per_call->model.random_effects, "intercepts");
+  EXPECT_GT(session.models_trained(), fits_after_session_policy);  // other key, refit
+}
+
 // An EM tolerance converges to the same repair as full iterations on this
 // well-conditioned panel, under a distinct cache key.
 TEST(ModelSpecApi, EmToleranceConvergesAndPartitions) {
@@ -487,11 +508,6 @@ TEST(ModelSpecApi, ValidationErrorsAsStatus) {
       session.Recommend(complaint, BatchOptions().Model(ModelSpec().EmTolerance(-1.0)));
   EXPECT_EQ(bad_tol.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_tol.status().message().find("em_tolerance"), std::string::npos);
-
-  // The deprecated per-call extras conflict with a per-call ModelSpec.
-  Result<ExploreResponse> conflict = session.Recommend(
-      complaint, BatchOptions().Model(ModelSpec()).RepairAlso("count"));
-  EXPECT_EQ(conflict.status().code(), StatusCode::kInvalidArgument);
 
   // Session construction validates an explicit ModelSpec too.
   Result<Session> bad_session =

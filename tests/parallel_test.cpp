@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -370,22 +371,20 @@ TEST(ParallelEngineTest, PerCallOverridesApplyToOneCallOnly) {
 }
 
 TEST(ParallelEngineTest, SharedPoolAndOwnedPoolAreIdentical) {
-  // Default sessions fan out over the process-wide SharedThreadPool() when
-  // the width is the machine default; SharedPool(false) opts out into an
-  // engine-owned pool. Recommendations must be identical either way.
+  // A session at the machine-default width fans out over the process-wide
+  // SharedThreadPool(); a session one width below it gets an engine-owned
+  // pool. Recommendations must be identical either way.
+  const int owned_width = ThreadPool::DefaultThreads() - 1;
+  if (owned_width < 2) GTEST_SKIP() << "no owned-pool width (2 to the default - 1) here";
   std::vector<ComplaintSpec> complaints = PanelComplaints();
-  int width = ThreadPool::DefaultThreads();
-  Session shared = MakePanelSession(width);
-  Result<Session> owned_session =
-      Session::Create(MakePanel(), ExploreRequest().Threads(width).SharedPool(false));
-  ASSERT_TRUE(owned_session.ok()) << owned_session.status().ToString();
-  ASSERT_TRUE(owned_session->Commit("time").ok());
+  Session shared = MakePanelSession(ThreadPool::DefaultThreads());
+  Session owned = MakePanelSession(owned_width);
 
   Result<BatchExploreResponse> from_shared =
       shared.RecommendAll(std::span<const ComplaintSpec>(complaints));
   ASSERT_TRUE(from_shared.ok()) << from_shared.status().ToString();
   Result<BatchExploreResponse> from_owned =
-      owned_session->RecommendAll(std::span<const ComplaintSpec>(complaints));
+      owned.RecommendAll(std::span<const ComplaintSpec>(complaints));
   ASSERT_TRUE(from_owned.ok()) << from_owned.status().ToString();
   ASSERT_EQ(from_shared->responses.size(), from_owned->responses.size());
   for (size_t i = 0; i < from_shared->responses.size(); ++i) {
@@ -393,10 +392,43 @@ TEST(ParallelEngineTest, SharedPoolAndOwnedPoolAreIdentical) {
   }
 }
 
+// OS threads of this process: one /proc/self/task entry each (Linux).
+int CountProcessThreads() {
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ParallelEngineTest, WidthAboveTheMachineDefaultSharesTheProcessPool) {
+  // A width above the machine default starts no threads of its own: it runs
+  // on the already-started SharedThreadPool(), with the sequential
+  // session's responses.
+  std::vector<ComplaintSpec> complaints = PanelComplaints();
+  Session sequential = MakePanelSession(1);
+  Result<BatchExploreResponse> reference =
+      sequential.RecommendAll(std::span<const ComplaintSpec>(complaints));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  ASSERT_NE(SharedThreadPool(), nullptr);
+  Session wide = MakePanelSession(ThreadPool::DefaultThreads() + 1);
+  const int threads_before = CountProcessThreads();
+  Result<BatchExploreResponse> batch =
+      wide.RecommendAll(std::span<const ComplaintSpec>(complaints));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(CountProcessThreads(), threads_before);
+  ASSERT_EQ(batch->responses.size(), reference->responses.size());
+  for (size_t i = 0; i < batch->responses.size(); ++i) {
+    ExpectSameResponse(batch->responses[i], reference->responses[i]);
+  }
+}
+
 TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
   // MEAN decomposes into {mean} alone, so the per-call extra visibly adds a
-  // "count" prediction; an engaged-but-empty list strips the session-level
-  // extras for that call only.
+  // "count" prediction; a per-call ModelSpec without extras strips the
+  // session-level extras for that call only.
   ComplaintSpec complaint = ComplaintSpec::TooHigh("mean", "severity").Where("year", "y0");
   Session plain = MakePanelSession(1);
   Result<ExploreResponse> without = plain.Recommend(complaint);
@@ -405,7 +437,7 @@ TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
   EXPECT_EQ(without_group.predicted.count("count"), 0u);
 
   Result<ExploreResponse> with_extra =
-      plain.Recommend(complaint, BatchOptions().RepairAlso("count"));
+      plain.Recommend(complaint, BatchOptions().Model(ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(with_extra.ok()) << with_extra.status().ToString();
   EXPECT_EQ(with_extra->best()->groups.front().predicted.count("count"), 1u);
 
@@ -415,21 +447,17 @@ TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
   EXPECT_EQ(after->best()->groups.front().predicted.count("count"), 0u);
 
   // Session-level extras, toggled off per call.
-  Result<Session> with_session_extras =
-      Session::Create(MakePanel(), ExploreRequest().Threads(1).RepairAlso("count"));
+  Result<Session> with_session_extras = Session::Create(
+      MakePanel(), ExploreRequest().Threads(1).Model(ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(with_session_extras.ok()) << with_session_extras.status().ToString();
   ASSERT_TRUE(with_session_extras->Commit("time").ok());
   Result<ExploreResponse> session_extra = with_session_extras->Recommend(complaint);
   ASSERT_TRUE(session_extra.ok());
   EXPECT_EQ(session_extra->best()->groups.front().predicted.count("count"), 1u);
   Result<ExploreResponse> toggled_off =
-      with_session_extras->Recommend(complaint, BatchOptions().NoExtraRepairStats());
+      with_session_extras->Recommend(complaint, BatchOptions().Model(ModelSpec()));
   ASSERT_TRUE(toggled_off.ok());
   EXPECT_EQ(toggled_off->best()->groups.front().predicted.count("count"), 0u);
-
-  // Unknown statistic names are rejected before any work happens.
-  EXPECT_EQ(plain.Recommend(complaint, BatchOptions().RepairAlso("median")).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelEngineTest, RejectsNegativeOverrides) {

@@ -259,26 +259,27 @@ TEST_F(ServerTest, ExtraRepairStatsFlowThroughTheWire) {
   ComplaintSpec complaint =
       ComplaintSpec::TooHigh("mean", "severity").Where("year", "y1");
   Result<ExploreResponse> direct =
-      direct_.Recommend(complaint, BatchOptions().RepairAlso("count"));
+      direct_.Recommend(complaint, BatchOptions().Model(ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   HttpClient client = Client();
   const std::string request_prefix =
       R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity",)"
       R"("where":[{"column":"year","value":"y1"}]},)"
-      R"("options":{"zero_timings":true,"extra_repair_stats":)";
+      R"("options":{"zero_timings":true,"model":{"extra_repair_stats":)";
   Result<HttpClientResponse> with_extras =
-      client.Post("/v1/recommend", request_prefix + R"(["count"]}})");
+      client.Post("/v1/recommend", request_prefix + R"(["count"]}}})");
   ASSERT_TRUE(with_extras.ok()) << with_extras.status().ToString();
   EXPECT_EQ(with_extras->status, 200);
   EXPECT_EQ(with_extras->body, TimelessJson(*direct));
   EXPECT_NE(with_extras->body.find("\"count\":"), std::string::npos);
 
-  // An explicitly empty list toggles extras off: same bytes as no option.
+  // A model with an empty list runs no extras: on this default session, the
+  // same bytes as no option.
   Result<ExploreResponse> plain = direct_.Recommend(complaint);
   ASSERT_TRUE(plain.ok());
   Result<HttpClientResponse> without_extras =
-      client.Post("/v1/recommend", request_prefix + R"([]}})");
+      client.Post("/v1/recommend", request_prefix + R"([]}}})");
   ASSERT_TRUE(without_extras.ok()) << without_extras.status().ToString();
   EXPECT_EQ(without_extras->body, TimelessJson(*plain));
   EXPECT_NE(with_extras->body, without_extras->body);
@@ -1106,7 +1107,8 @@ TEST_F(ServerTest, OptionsModelRoundTripsEveryField) {
                        .EmIterations(9)
                        .EmTolerance(0.25)
                        .FitCache(false)
-                       .RepairAlso(AggFn::kCount);
+                       .RepairAlso(AggFn::kCount)
+                       .AllRandomEffects();
   ComplaintSpec complaint =
       ComplaintSpec::TooHigh("mean", "severity").Where("year", "y2");
   Result<ExploreResponse> direct = direct_.Recommend(complaint, BatchOptions().Model(spec));
@@ -1118,7 +1120,7 @@ TEST_F(ServerTest, OptionsModelRoundTripsEveryField) {
       R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity",)"
       R"("where":[{"column":"year","value":"y2"}]},)"
       R"("options":{"zero_timings":true,"model":{"kind":"linear","backend":"dense",)"
-      R"("em_iterations":9,"em_tolerance":0.25,"fit_cache":false,)"
+      R"("random_effects":"all","em_iterations":9,"em_tolerance":0.25,"fit_cache":false,)"
       R"("extra_repair_stats":["count"]}}})");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 200) << response->body;
@@ -1131,6 +1133,7 @@ TEST_F(ServerTest, OptionsModelRoundTripsEveryField) {
   ASSERT_NE(model, nullptr);
   EXPECT_EQ(model->Find("kind")->string_value(), "linear");
   EXPECT_EQ(model->Find("backend")->string_value(), "dense");
+  EXPECT_EQ(model->Find("random_effects")->string_value(), "all");
   EXPECT_EQ(model->Find("em_iterations")->IntValue(), 9);
   EXPECT_DOUBLE_EQ(model->Find("em_tolerance")->number_value(), 0.25);
   EXPECT_FALSE(model->Find("fit_cache")->bool_value());
@@ -1160,6 +1163,8 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
               "INVALID_ARGUMENT");
   ExpectError(client.Post("/v1/recommend", prefix + R"(["dense"]}})"), 400,
               "INVALID_ARGUMENT");
+  ExpectError(client.Post("/v1/recommend", prefix + R"({"random_effects":1}}})"), 400,
+              "INVALID_ARGUMENT");
 
   // Unknown enum names.
   Result<HttpClientResponse> bad_backend =
@@ -1167,6 +1172,8 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
   ExpectError(bad_backend, 400, "INVALID_ARGUMENT");
   EXPECT_NE(bad_backend->body.find("gpu"), std::string::npos);
   ExpectError(client.Post("/v1/recommend", prefix + R"({"kind":"deep_net"}}})"), 400,
+              "INVALID_ARGUMENT");
+  ExpectError(client.Post("/v1/recommend", prefix + R"({"random_effects":"some"}}})"), 400,
               "INVALID_ARGUMENT");
   ExpectError(client.Post("/v1/recommend",
                           prefix + R"({"extra_repair_stats":["median"]}}})"),
@@ -1178,13 +1185,16 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
   ExpectError(client.Post("/v1/recommend", prefix + R"({"em_tolerance":-0.5}}})"), 400,
               "INVALID_ARGUMENT");
 
-  // model + deprecated extra_repair_stats conflict.
-  ExpectError(
-      client.Post(
-          "/v1/recommend",
-          R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity"},)"
-          R"("options":{"model":{},"extra_repair_stats":["count"]}})"),
-      400, "INVALID_ARGUMENT");
+  // Extra repair statistics live in options.model only: a top-level
+  // options.extra_repair_stats is an unknown field.
+  Result<HttpClientResponse> top_level_extras = client.Post(
+      "/v1/recommend",
+      R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity"},)"
+      R"("options":{"extra_repair_stats":["count"]}})");
+  ExpectError(top_level_extras, 400, "INVALID_ARGUMENT");
+  EXPECT_NE(top_level_extras->body.find(R"(unknown field \"extra_repair_stats\" in options)"),
+            std::string::npos)
+      << top_level_extras->body;
 
   // Malformed JSON inside the options still reports the byte offset.
   Result<HttpClientResponse> malformed = client.Post(
