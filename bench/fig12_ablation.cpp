@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "baselines/outlier.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -17,9 +18,10 @@ namespace reptile {
 namespace {
 
 // Returns (reptile_top, outlier_top) group codes for one instance. The
-// engine is run once with a large top_k; the outlier pick is the group with
-// the largest |observed - repaired| complaint statistic, reusing the same
-// model predictions (Section 5.2.3 compares exactly this ablation).
+// engine is run once with a large top_k; the outlier pick is OutlierRank's
+// first group (the largest |observed - repaired| complaint statistic),
+// reusing the same model predictions (Section 5.2.3 compares exactly this
+// ablation).
 std::pair<int32_t, int32_t> RunBoth(const AccuracyInstance& inst) {
   EngineOptions options;
   options.top_k = 1000;
@@ -52,19 +54,17 @@ std::pair<int32_t, int32_t> RunBoth(const AccuracyInstance& inst) {
   }
   Recommendation rec = engine.RecommendDrillDown(inst.complaint);
   if (rec.best_index < 0 || rec.best().top_groups.empty()) return {-1, -1};
-  const auto& groups = rec.best().top_groups;
-  int32_t reptile_top = groups[0].key[0];
-  int32_t outlier_top = -1;
-  double best_dev = -1.0;
-  for (const GroupRecommendation& g : groups) {
-    double dev = std::fabs(g.observed.Value(inst.complaint.agg) -
-                           g.repaired.Value(inst.complaint.agg));
-    if (dev > best_dev) {
-      best_dev = dev;
-      outlier_top = g.key[0];
-    }
+  // The Outlier baseline over the engine's groups, in rank order, with the
+  // engine's predictions: its stable sort keeps the first largest deviation.
+  GroupByResult siblings;
+  GroupPredictions predictions;
+  for (const GroupRecommendation& g : rec.best().top_groups) {
+    siblings.mutable_stats(siblings.GetOrAddGroup(g.key)) = g.observed;
+    predictions.push_back(g.predicted);
   }
-  return {reptile_top, outlier_top};
+  const std::vector<ScoredGroup> outlier =
+      OutlierRank(siblings, predictions, inst.complaint.agg);
+  return {rec.best().top_groups[0].key[0], outlier[0].key[0]};
 }
 
 bool IsHit(int32_t top, const std::vector<int32_t>& truth) {

@@ -78,9 +78,9 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   # pipefail a still-writing curl then dies with EPIPE (exit 23). Plain grep
   # reads to EOF, and >/dev/null keeps the gate silent.
   curl -fsS "http://127.0.0.1:$PORT/healthz" | grep '"status":"ok"' >/dev/null
-  # ...and carries the front end's transport counters.
-  curl -fsS "http://127.0.0.1:$PORT/healthz" \
-    | grep -E '"transport":\{[^}]*"requests_dispatched":[0-9]+' >/dev/null
+  # /metricsz carries the front end's transport counters.
+  curl -fsS "http://127.0.0.1:$PORT/metricsz" \
+    | grep -E '^reptile_transport_requests_dispatched [0-9]+$' >/dev/null
   # The Prometheus endpoint serves the request-latency histogram, and a
   # client-supplied X-Request-Id is echoed back on the response.
   curl -fsS "http://127.0.0.1:$PORT/metricsz" \
@@ -148,7 +148,7 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
       -d '{"csv":"d,y,m\nd3,y1,8\n"}' | grep '"dataset_version":3' >/dev/null
   curl -fsS "http://127.0.0.1:$PORT/healthz" \
     | grep '"dataset":"up","head":3,"live":\[3\]' >/dev/null
-  curl -fsS "http://127.0.0.1:$PORT/healthz" | grep '"versions_gc":2' >/dev/null
+  curl -fsS "http://127.0.0.1:$PORT/metricsz" | grep -E '^reptile_versions_gc_total 2$' >/dev/null
   curl -fsS "http://127.0.0.1:$PORT/metricsz" \
     | grep -E 'reptile_dataset_head_version\{dataset="up"\} 3' >/dev/null
   curl -fsS "http://127.0.0.1:$PORT/metricsz" \
@@ -196,8 +196,11 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
     sleep 0.1
   done
   [[ -n "$RPORT" ]] || { echo "auth server never reported its port"; cat "$AUTH_LOG"; exit 1; }
-  # /healthz is auth-exempt and must surface the transport counters.
-  curl -fsS "http://127.0.0.1:$RPORT/healthz" | grep '"transport":{"open_connections"' >/dev/null
+  # /healthz and /metricsz are auth-exempt; /metricsz surfaces the transport
+  # counters.
+  curl -fsS "http://127.0.0.1:$RPORT/healthz" | grep '"status":"ok"' >/dev/null
+  curl -fsS "http://127.0.0.1:$RPORT/metricsz" \
+    | grep -E '^reptile_transport_open_connections [0-9]+$' >/dev/null
   # Mutating routes require the bearer token: 401 without, 201 with — and the
   # with-token path is a text/csv body streamed straight into the parser.
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
@@ -336,17 +339,11 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
     echo "FAIL: burst run never shed queued work" >&2
     exit 1
   fi
-  # The same counters must be visible on the server's own /metricsz. The
-  # scrape shares the one handler worker and its 1ms queue deadline with the
-  # burst's tail, so it may itself be shed with a 503: retry, as a shed
-  # client is meant to. Here-strings, not `echo | grep -q`: grep -q exits at
-  # its first match, and under pipefail an echo still writing the rest then
-  # dies with SIGPIPE.
-  METRICS=""
-  for _ in $(seq 1 50); do
-    METRICS="$(curl -fsS "http://127.0.0.1:$BPORT/metricsz" 2>/dev/null)" && break
-    sleep 0.1
-  done
+  # The same counters must be visible on the server's own /metricsz, which
+  # the queue deadline never sheds. Here-strings, not `echo | grep -q`: grep
+  # -q exits at its first match, and under pipefail an echo still writing
+  # the rest then dies with SIGPIPE.
+  METRICS="$(curl -fsS "http://127.0.0.1:$BPORT/metricsz")"
   grep -Eq 'reptile_transport_requests_rate_limited [1-9]' <<< "$METRICS"
   grep -Eq 'reptile_transport_requests_shed [1-9]' <<< "$METRICS"
   kill -TERM "$BURST_PID"

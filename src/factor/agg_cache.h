@@ -29,7 +29,7 @@
 //    table) entry. Builds happen OUTSIDE the cache so a slow build never
 //    blocks readers.
 //  * hits()/misses()/evictions() are monotonic counters; entries()/bytes()
-//    are gauges — all surfaced per dataset through /healthz.
+//    are gauges — all summed over datasets on /metricsz.
 
 #ifndef REPTILE_FACTOR_AGG_CACHE_H_
 #define REPTILE_FACTOR_AGG_CACHE_H_

@@ -34,7 +34,7 @@
 //    after the cache evicts the key.
 //  * If `fit` throws, the key is erased so a later call can retry; waiters
 //    blocked on the in-flight entry observe the exception.
-//  * hits()/misses()/fits()/entries() are monotonic counters for /healthz,
+//  * hits()/misses()/fits()/entries() are monotonic counters for /metricsz,
 //    tests and benchmarks. A call that waited on another caller's in-flight
 //    fit counts as a hit: it performed no training.
 

@@ -16,6 +16,7 @@
 #include "net/connection.h"
 #include "net/http_codec.h"
 #include "net/token_bucket.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 
 namespace reptile {
@@ -195,7 +196,10 @@ void ReactorServer::OnAcceptReady() {
 }
 
 void ReactorServer::DispatchHandler(uint64_t connection_id, HttpRequest request) {
-  if (limiter_ != nullptr && request.path != "/healthz" && request.path != "/metricsz") {
+  // The monitoring probes pass both admission checks: overload is when they
+  // matter most.
+  const bool probe = request.path == "/healthz" || request.path == "/metricsz";
+  if (limiter_ != nullptr && !probe) {
     double retry_after = 0.0;
     if (!limiter_->TryAcquire(&retry_after)) {
       // Refuse without touching the pool. The result hops through Post like
@@ -219,14 +223,14 @@ void ReactorServer::DispatchHandler(uint64_t connection_id, HttpRequest request)
     ++handlers_in_flight_;
   }
   const auto dispatched_at = std::chrono::steady_clock::now();
-  pool_->Submit([this, connection_id, dispatched_at,
+  pool_->Submit([this, connection_id, dispatched_at, probe,
                  request = std::move(request)]() mutable {
     HttpResponse response;
     bool force_close = false;
     const double waited_ms = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - dispatched_at)
                                  .count();
-    if (options_.queue_deadline_ms > 0 && !stopping() &&
+    if (options_.queue_deadline_ms > 0 && !probe && !stopping() &&
         waited_ms > options_.queue_deadline_ms) {
       // Shed: with every worker busy, this request aged out in the pool
       // queue. Per-request — keep-alive survives and the client retries.
@@ -274,27 +278,27 @@ void ReactorServer::OnTick() {
   }
 }
 
-std::string ReactorServer::StatsJson() const {
-  std::string out = "{\"open_connections\":";
-  out += std::to_string(open_connections_.load());
-  out += ",\"connections_accepted\":";
-  out += std::to_string(connections_accepted_.load());
-  out += ",\"requests_dispatched\":";
-  out += std::to_string(requests_dispatched_.load());
-  out += ",\"queued_bytes\":";
-  out += std::to_string(queued_bytes_.load());
-  out += ",\"backpressure_trips\":";
-  out += std::to_string(backpressure_trips_.load());
-  out += ",\"slow_client_disconnects\":";
-  out += std::to_string(slow_client_disconnects_.load());
-  out += ",\"overload_rejections\":";
-  out += std::to_string(overload_rejections_.load());
-  out += ",\"requests_rate_limited\":";
-  out += std::to_string(requests_rate_limited_.load());
-  out += ",\"requests_shed\":";
-  out += std::to_string(requests_shed_.load());
-  out += "}";
-  return out;
+void ReactorServer::RegisterMetrics(MetricsRegistry* registry) const {
+  static constexpr struct {
+    const char* name;
+    int64_t (ReactorServer::*read)() const;
+  } kCounters[] = {
+      {"open_connections", &ReactorServer::open_connections},
+      {"connections_accepted", &ReactorServer::connections_accepted},
+      {"requests_dispatched", &ReactorServer::requests_dispatched},
+      {"queued_bytes", &ReactorServer::queued_bytes},
+      {"backpressure_trips", &ReactorServer::backpressure_trips},
+      {"slow_client_disconnects", &ReactorServer::slow_client_disconnects},
+      {"overload_rejections", &ReactorServer::overload_rejections},
+      {"requests_rate_limited", &ReactorServer::requests_rate_limited},
+      {"requests_shed", &ReactorServer::requests_shed},
+  };
+  for (const auto& counter : kCounters) {
+    registry->RegisterCallback(std::string("reptile_transport_") + counter.name,
+                               "Front-end transport counter (net/reactor_server.h)",
+                               MetricType::kGauge,
+                               [this, read = counter.read] { return (this->*read)(); });
+  }
 }
 
 }  // namespace reptile

@@ -15,8 +15,9 @@
 //    immediate 503 and close (overload_rejections) instead of queuing
 //    invisibly in a pool.
 //
-// Observability counters are exported via StatsJson() — the serving binary
-// wires them into /healthz.
+// Observability counters are registered on a MetricsRegistry by
+// RegisterMetrics() — the serving binary puts them on the service's
+// /metricsz.
 
 #ifndef REPTILE_NET_REACTOR_SERVER_H_
 #define REPTILE_NET_REACTOR_SERVER_H_
@@ -39,7 +40,8 @@
 namespace reptile {
 
 class Connection;
-class ThreadPool;  // parallel/thread_pool.h
+class MetricsRegistry;  // obs/metrics.h
+class ThreadPool;       // parallel/thread_pool.h
 
 struct ReactorServerOptions {
   std::string bind_address = "127.0.0.1";
@@ -78,7 +80,8 @@ struct ReactorServerOptions {
   // Shed a request that waited longer than this in the handler-pool queue:
   // it gets the shared 503 OVERLOADED envelope instead of compute that
   // would finish too late to matter. Per-request — the connection survives.
-  // 0 = never shed.
+  // The /healthz and /metricsz probes are never shed: overload is when they
+  // matter most. 0 = never shed.
   int queue_deadline_ms = 0;
   // Deadline-check granularity (bounds how late idle/stall deadlines fire).
   int tick_interval_ms = 100;
@@ -119,8 +122,10 @@ class ReactorServer {
   int64_t requests_rate_limited() const { return requests_rate_limited_.load(); }
   int64_t requests_shed() const { return requests_shed_.load(); }
 
-  /// The counters as a JSON object (for /healthz's "transport" section).
-  std::string StatsJson() const;
+  /// Registers the counters above on `registry` as reptile_transport_*
+  /// gauges read at scrape time. The registry must be destroyed before this
+  /// server: its callbacks read the server.
+  void RegisterMetrics(MetricsRegistry* registry) const;
 
  private:
   friend class Connection;

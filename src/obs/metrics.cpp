@@ -30,7 +30,16 @@ std::string RenderLabelString(const MetricLabels& labels) {
     if (i > 0) out += ',';
     out += labels[i].first;
     out += "=\"";
-    out += JsonEscape(labels[i].second);  // same \\ \" \n escapes Prometheus wants
+    // Text format 0.0.4 escapes exactly these three; anything else (a tab in
+    // a client-chosen dataset name) passes through raw.
+    for (char c : labels[i].second) {
+      if (c == '\n') {
+        out += "\\n";
+        continue;
+      }
+      if (c == '\\' || c == '"') out += '\\';
+      out += c;
+    }
     out += '"';
   }
   out += '}';
@@ -51,15 +60,6 @@ std::string FormatSeconds(double seconds) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", seconds);
   return buf;
-}
-
-const char* KindName(int kind) {
-  switch (kind) {
-    case 0: return "counter";
-    case 1: return "gauge";
-    case 2: return "histogram";
-    default: return "gauge";  // callback gauges render as gauges
-  }
 }
 
 }  // namespace
@@ -148,14 +148,40 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name, const std::str
   return series.histogram.get();
 }
 
-void MetricsRegistry::RegisterCallbackGauge(const std::string& name,
-                                            const std::string& help, MetricLabels labels,
-                                            std::function<int64_t()> fn) {
+void MetricsRegistry::RegisterCallback(const std::string& name, const std::string& help,
+                                       MetricType type, std::function<int64_t()> fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family& family = FamilyFor(name, help, Kind::kCallback);
-  Series& series = family.series[RenderLabelString(labels)];
-  series.labels = std::move(labels);
-  series.callback = std::move(fn);
+  Family& family = FamilyFor(
+      name, help, type == MetricType::kCounter ? Kind::kCallbackCounter : Kind::kCallbackGauge);
+  family.series[""].callback = std::move(fn);
+}
+
+void MetricsRegistry::RegisterCallbackFamily(const std::string& name, const std::string& help,
+                                             MetricType type, std::string label_key,
+                                             std::function<LabelledSamples()> fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Family& family = FamilyFor(
+      name, help, type == MetricType::kCounter ? Kind::kCallbackCounter : Kind::kCallbackGauge);
+  family.label_key = std::move(label_key);
+  family.samples = std::move(fn);
+}
+
+std::vector<MetricsRegistry::Sample> MetricsRegistry::Samples(const Family& family) {
+  std::vector<Sample> out;
+  if (family.samples) {
+    for (auto& [label, value] : family.samples()) {
+      MetricLabels labels = {{family.label_key, std::move(label)}};
+      std::string label_string = RenderLabelString(labels);
+      out.push_back({std::move(label_string), std::move(labels), value});
+    }
+  }
+  for (const auto& [label_string, series] : family.series) {
+    const int64_t value = series.counter ? series.counter->value()
+                          : series.gauge ? series.gauge->value()
+                                         : series.callback();
+    out.push_back({label_string, series.labels, value});
+  }
+  return out;
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {
@@ -163,34 +189,28 @@ std::string MetricsRegistry::RenderPrometheus() const {
   std::string out;
   for (const auto& [name, family] : families_) {
     out += "# HELP " + name + " " + family.help + "\n";
-    out += "# TYPE " + name + " " + KindName(static_cast<int>(family.kind)) + "\n";
-    for (const auto& [label_string, series] : family.series) {
-      switch (family.kind) {
-        case Kind::kCounter:
-          out += name + label_string + " " + std::to_string(series.counter->value()) + "\n";
-          break;
-        case Kind::kGauge:
-          out += name + label_string + " " + std::to_string(series.gauge->value()) + "\n";
-          break;
-        case Kind::kCallback:
-          out += name + label_string + " " + std::to_string(series.callback()) + "\n";
-          break;
-        case Kind::kHistogram: {
-          const Histogram& h = *series.histogram;
-          int64_t cumulative = 0;
-          for (int i = 0; i < Histogram::kNumBounds; ++i) {
-            cumulative += h.BucketCount(i);
-            out += name + "_bucket" + WithLeLabel(label_string, kBoundLabels[static_cast<size_t>(i)]) +
-                   " " + std::to_string(cumulative) + "\n";
-          }
-          cumulative += h.BucketCount(Histogram::kNumBounds);
-          out += name + "_bucket" + WithLeLabel(label_string, "+Inf") + " " +
-                 std::to_string(cumulative) + "\n";
-          out += name + "_sum" + label_string + " " + FormatSeconds(h.sum_seconds()) + "\n";
-          out += name + "_count" + label_string + " " + std::to_string(cumulative) + "\n";
-          break;
-        }
+    const bool counter = family.kind == Kind::kCounter || family.kind == Kind::kCallbackCounter;
+    out += "# TYPE " + name + " " +
+           (family.kind == Kind::kHistogram ? "histogram" : counter ? "counter" : "gauge") + "\n";
+    if (family.kind != Kind::kHistogram) {
+      for (const Sample& sample : Samples(family)) {
+        out += name + sample.label_string + " " + std::to_string(sample.value) + "\n";
       }
+      continue;
+    }
+    for (const auto& [label_string, series] : family.series) {
+      const Histogram& h = *series.histogram;
+      int64_t cumulative = 0;
+      for (int i = 0; i < Histogram::kNumBounds; ++i) {
+        cumulative += h.BucketCount(i);
+        out += name + "_bucket" + WithLeLabel(label_string, kBoundLabels[static_cast<size_t>(i)]) +
+               " " + std::to_string(cumulative) + "\n";
+      }
+      cumulative += h.BucketCount(Histogram::kNumBounds);
+      out += name + "_bucket" + WithLeLabel(label_string, "+Inf") + " " +
+             std::to_string(cumulative) + "\n";
+      out += name + "_sum" + label_string + " " + FormatSeconds(h.sum_seconds()) + "\n";
+      out += name + "_count" + label_string + " " + std::to_string(cumulative) + "\n";
     }
   }
   return out;
@@ -198,54 +218,43 @@ std::string MetricsRegistry::RenderPrometheus() const {
 
 std::string MetricsRegistry::RenderJson() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // `{"labels":{...},` — the head every series object shares.
+  auto open_series = [](const MetricLabels& labels) {
+    std::string out = "{\"labels\":{";
+    for (size_t i = 0; i < labels.size(); ++i) {
+      if (i > 0) out += ',';
+      out += JsonQuote(labels[i].first) + ":" + JsonQuote(labels[i].second);
+    }
+    return out + "},";
+  };
   std::string out = "{";
-  bool first_family = true;
   for (const auto& [name, family] : families_) {
-    if (!first_family) out += ',';
-    first_family = false;
+    if (out.size() > 1) out += ',';
     out += JsonQuote(name) + ":[";
-    bool first_series = true;
-    for (const auto& [label_string, series] : family.series) {
-      (void)label_string;
-      if (!first_series) out += ',';
-      first_series = false;
-      out += "{\"labels\":{";
-      for (size_t i = 0; i < series.labels.size(); ++i) {
-        if (i > 0) out += ',';
-        out += JsonQuote(series.labels[i].first) + ":" + JsonQuote(series.labels[i].second);
+    const char* separator = "";
+    if (family.kind != Kind::kHistogram) {
+      for (const Sample& sample : Samples(family)) {
+        out += separator + open_series(sample.labels) +
+               "\"value\":" + std::to_string(sample.value) + "}";
+        separator = ",";
       }
-      out += "},";
-      switch (family.kind) {
-        case Kind::kCounter:
-          out += "\"value\":" + std::to_string(series.counter->value());
-          break;
-        case Kind::kGauge:
-          out += "\"value\":" + std::to_string(series.gauge->value());
-          break;
-        case Kind::kCallback:
-          out += "\"value\":" + std::to_string(series.callback());
-          break;
-        case Kind::kHistogram: {
-          const Histogram& h = *series.histogram;
-          out += "\"count\":" + std::to_string(h.count());
-          out += ",\"sum_seconds\":" + JsonNumber(h.sum_seconds());
-          out += ",\"p50\":" + JsonNumber(h.Quantile(0.50));
-          out += ",\"p90\":" + JsonNumber(h.Quantile(0.90));
-          out += ",\"p99\":" + JsonNumber(h.Quantile(0.99));
-          break;
-        }
+    } else {
+      for (const auto& [label_string, series] : family.series) {
+        const Histogram& h = *series.histogram;
+        out += separator + open_series(series.labels);
+        out += "\"count\":" + std::to_string(h.count());
+        out += ",\"sum_seconds\":" + JsonNumber(h.sum_seconds());
+        out += ",\"p50\":" + JsonNumber(h.Quantile(0.50));
+        out += ",\"p90\":" + JsonNumber(h.Quantile(0.90));
+        out += ",\"p99\":" + JsonNumber(h.Quantile(0.99));
+        out += '}';
+        separator = ",";
       }
-      out += '}';
     }
     out += ']';
   }
   out += '}';
   return out;
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // leaked: no
-  return *registry;  // static-destruction-order hazard for late recorders
 }
 
 }  // namespace reptile

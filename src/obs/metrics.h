@@ -15,10 +15,11 @@
 //    integer nanoseconds (no floating-point reassociation), so N threads
 //    recording a fixed multiset of values always produce the same snapshot
 //    as a sequential replay (tests/obs_test.cpp asserts this under TSan).
-//  * Multiple registries per process: ReptileService owns one per instance
-//    (two services in one test binary must not fight over series), while
-//    MetricsRegistry::Global() carries genuinely process-wide series (e.g.
-//    the shared compute pool's queue depth).
+//  * One registry per service: ReptileService owns one per instance (two
+//    services in one test binary must not fight over series), and every
+//    number the server reports is a series on it — values that live
+//    elsewhere (cache sums, the front end's counters, the shared pool's
+//    depth) as callbacks sampled at render time.
 //
 // Registered objects live as long as their registry: Get* pointers are
 // stable and never invalidated. Names follow Prometheus conventions
@@ -113,6 +114,12 @@ class Histogram {
 /// Label set for one series, rendered as {k="v",...} in registration order.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
+/// The Prometheus TYPE of a callback series.
+enum class MetricType { kCounter, kGauge };
+
+/// One (label value, sample) pair per series of a labelled callback family.
+using LabelledSamples = std::vector<std::pair<std::string, int64_t>>;
+
 /// Names metrics and renders them. Get* is get-or-create: the same
 /// (name, labels) always returns the same object, so two components
 /// instrumenting the same series share it instead of colliding. A name is
@@ -131,13 +138,20 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name, const std::string& help,
                           const MetricLabels& labels = {});
 
-  /// A gauge whose value is sampled by calling `fn` at render time — for
+  /// A series whose value is sampled by calling `fn` at render time — for
   /// values that already live elsewhere (a queue depth, a cache size) and
   /// should not be mirrored on every change. `fn` must be thread-safe and is
-  /// called under the registry mutex: keep it cheap and never let it call
-  /// back into this registry.
-  void RegisterCallbackGauge(const std::string& name, const std::string& help,
-                             MetricLabels labels, std::function<int64_t()> fn);
+  /// called under the registry mutex: keep it cheap, never let it call back
+  /// into this registry, and never let it outlive what it reads.
+  void RegisterCallback(const std::string& name, const std::string& help, MetricType type,
+                        std::function<int64_t()> fn);
+
+  /// A labelled callback family: at render time `fn` returns one (label
+  /// value, sample) pair per series, rendered as name{label_key="value"} in
+  /// the order returned. Same contract as RegisterCallback.
+  void RegisterCallbackFamily(const std::string& name, const std::string& help,
+                              MetricType type, std::string label_key,
+                              std::function<LabelledSamples()> fn);
 
   /// Prometheus text exposition (version 0.0.4): families sorted by name,
   /// series sorted by label string, histograms in cumulative `le` form.
@@ -149,11 +163,8 @@ class MetricsRegistry {
   /// Embedded in /healthz as "metrics".
   std::string RenderJson() const;
 
-  /// The process-wide registry (leaked singleton, safe from any thread).
-  static MetricsRegistry& Global();
-
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallback };
+  enum class Kind { kCounter, kGauge, kHistogram, kCallbackCounter, kCallbackGauge };
 
   struct Series {
     MetricLabels labels;
@@ -167,19 +178,23 @@ class MetricsRegistry {
     std::string help;
     Kind kind;
     std::map<std::string, Series> series;  // by rendered label string
+    std::string label_key;                 // RegisterCallbackFamily's
+    std::function<LabelledSamples()> samples;
+  };
+
+  /// One sample of a counter or gauge family, callbacks evaluated.
+  struct Sample {
+    std::string label_string;
+    MetricLabels labels;
+    int64_t value;
   };
 
   Family& FamilyFor(const std::string& name, const std::string& help, Kind kind);
+  static std::vector<Sample> Samples(const Family& family);
 
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
 };
-
-/// Registers the process-wide callback gauges (currently the shared compute
-/// pool's queue depth as `reptile_shared_pool_queue_depth`) on
-/// MetricsRegistry::Global(). Idempotent and thread-safe; every /metricsz
-/// handler calls it so the gauges exist in any serving configuration.
-void EnsureProcessMetrics();
 
 }  // namespace reptile
 

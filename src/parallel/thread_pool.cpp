@@ -1,5 +1,6 @@
 #include "parallel/thread_pool.h"
 
+#include <atomic>
 #include <utility>
 
 namespace reptile {
@@ -64,10 +65,23 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+namespace {
+std::atomic<ThreadPool*> g_shared_pool{nullptr};  // set once SharedThreadPool() ran
+}  // namespace
+
 ThreadPool* SharedThreadPool() {
   // Magic-static: thread-safe lazy init. Leaked by design (see header).
-  static ThreadPool* const pool = new ThreadPool(ThreadPool::DefaultThreads());
+  static ThreadPool* const pool = [] {
+    ThreadPool* created = new ThreadPool(ThreadPool::DefaultThreads());
+    g_shared_pool.store(created, std::memory_order_release);
+    return created;
+  }();
   return pool;
+}
+
+int64_t SharedThreadPoolPendingTasks() {
+  const ThreadPool* pool = g_shared_pool.load(std::memory_order_acquire);
+  return pool != nullptr ? pool->PendingTasks() : 0;
 }
 
 void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>& fn) {

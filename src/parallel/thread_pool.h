@@ -57,7 +57,8 @@ class ThreadPool {
   void Wait();
 
   /// Tasks queued or currently running — the pool-depth gauge /metricsz
-  /// exports. A snapshot: the value may be stale by the time it returns.
+  /// exports for the shared pool. A snapshot: the value may be stale by the
+  /// time it returns.
   int64_t PendingTasks() const;
 
   /// std::thread::hardware_concurrency() with a fallback of 1 when the
@@ -90,6 +91,10 @@ class ThreadPool {
 /// shared workers. Components that need a specific width or isolation
 /// opt out by constructing their own ThreadPool.
 ThreadPool* SharedThreadPool();
+
+/// The shared pool's PendingTasks(), or 0 before its first use: reading the
+/// depth (a /healthz or /metricsz scrape) never starts the pool's threads.
+int64_t SharedThreadPoolPendingTasks();
 
 /// Runs fn(i) for every i in [0, n), fanning out across `pool` (nullptr or a
 /// one-thread pool = inline sequential execution). Blocks until every index

@@ -54,9 +54,12 @@
 //   --max-sessions N      cap on live per-client sessions (default 1024,
 //                         0 = unlimited; exceeding it is HTTP 409)
 //   --max-datasets N      cap on registered datasets (default 64, same deal)
-//   --auth-token T        require "Authorization: Bearer T" on mutating
-//                         routes (dataset/session create+delete, commit);
-//                         reads and /healthz stay open. Default: no auth.
+//   --auth-token T        require "Authorization: Bearer T" on the gated
+//                         routes: every write (dataset create, delete,
+//                         snapshot and row append; session create and
+//                         delete; commit) and GET /v1/debug/requests; the
+//                         other reads, /healthz and /metricsz stay open.
+//                         Default: no auth.
 //   --stream-threshold N  stream recommend_batch bodies of >= N bytes
 //                         (chunked on HTTP/1.1) instead of buffering them
 //                         (default: off)
@@ -92,7 +95,8 @@
 //
 // POST /v1/datasets accepts a streamed text/csv body (typing in the query
 // string — see server/service.h) fed incrementally through CsvStreamParser,
-// and /healthz carries the reactor's transport counters under "transport".
+// and /metricsz (and /healthz's "metrics") carry the reactor's transport
+// counters as reptile_transport_* series.
 //
 // Datasets loaded at startup (--demo / --csv) are registered in the shared
 // DatasetRegistry with a default session each (the deprecated
@@ -140,18 +144,6 @@ void HandleSignal(int) {
   char byte = 1;
   // write() is async-signal-safe; best-effort (the pipe never fills).
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-std::vector<std::string> SplitCommas(const std::string& list) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    size_t end = list.find(',', begin);
-    if (end == std::string::npos) end = list.size();
-    if (end > begin) out.push_back(list.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
 }
 
 // The --demo dataset: the datagen severity panel (the shape the fig08
@@ -272,9 +264,9 @@ Args ParseArgs(int argc, char** argv) {
     } else if (flag == "--name") {
       args.name = value_of(i);
     } else if (flag == "--dimensions") {
-      args.dimensions = SplitCommas(value_of(i));
+      args.dimensions = SplitCommaList(value_of(i));
     } else if (flag == "--measures") {
-      args.measures = SplitCommas(value_of(i));
+      args.measures = SplitCommaList(value_of(i));
     } else if (flag == "--hierarchy") {
       std::string spec = value_of(i);
       size_t eq = spec.find('=');
@@ -284,7 +276,7 @@ Args ParseArgs(int argc, char** argv) {
         Usage(argv[0]);
       }
       args.hierarchies.push_back(
-          HierarchySchema{spec.substr(0, eq), SplitCommas(spec.substr(eq + 1))});
+          HierarchySchema{spec.substr(0, eq), SplitCommaList(spec.substr(eq + 1))});
     } else if (flag == "--commit") {
       args.commits.push_back(value_of(i));
     } else if (flag == "--separator") {
@@ -371,9 +363,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // The service's /healthz and /metricsz read the front end's transport
-  // counters per request through this pointer; it is set below, before
-  // Start() lets the first request in.
+  // Declared before the service so that the service, whose metrics read the
+  // front end's counters, is destroyed first.
   std::unique_ptr<ReactorServer> server;
 
   ServiceOptions service_options;
@@ -388,9 +379,6 @@ int Main(int argc, char** argv) {
   service_options.slow_request_ms = args.slow_request_ms;
   service_options.debug_request_ring =
       args.debug_requests > 0 ? static_cast<size_t>(args.debug_requests) : 0;
-  service_options.transport_stats_json = [&server] {
-    return server != nullptr ? server->StatsJson() : std::string("null");
-  };
 
   ReptileService service(service_options);
   if (args.demo) {
@@ -489,6 +477,7 @@ int Main(int argc, char** argv) {
   server = std::make_unique<ReactorServer>(
       std::move(server_options),
       [&service](const HttpRequest& request) { return service.Handle(request); });
+  server->RegisterMetrics(&service.metrics());
   Status started = server->Start();
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());

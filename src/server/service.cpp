@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/request_ring.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "server/json.h"
 #include "version/append.h"
 #include "version/version.h"
@@ -52,6 +53,22 @@ Status CheckKnownKeys(const JsonValue& object, const std::string& context,
     }
   }
   return Status::Ok();
+}
+
+/// The preamble every JSON route shares: the body must parse, be an object,
+/// and carry only `keys`. With a trace, the JSON parse alone is the "parse"
+/// span.
+Result<JsonValue> ParseObjectBody(const std::string& body,
+                                  std::initializer_list<std::string_view> keys,
+                                  TraceContext* trace = nullptr) {
+  Result<JsonValue> parsed = [&] {
+    ScopedSpan parse_span(trace, "parse");
+    return ParseJson(body);
+  }();
+  if (!parsed.ok()) return parsed;
+  if (!parsed->is_object()) return WrongType("request body", "an object", *parsed);
+  REPTILE_RETURN_IF_ERROR(CheckKnownKeys(*parsed, "request body", keys));
+  return parsed;
 }
 
 Result<std::string> StringField(const JsonValue& object, const std::string& context,
@@ -330,43 +347,19 @@ HttpResponse UnauthorizedResponse() {
   return response;
 }
 
-/// True when `path` is "/v1/datasets/{name}<suffix>" with a non-empty name;
-/// fills `name` on a match. A plain suffix check suffices for the two
-/// dataset sub-routes.
-bool ParseDatasetSubroute(const std::string& path, std::string_view suffix,
-                          std::string* name) {
-  constexpr std::string_view kPrefix = "/v1/datasets/";
-  if (path.size() <= kPrefix.size() + suffix.size()) return false;
-  if (std::string_view(path).substr(0, kPrefix.size()) != kPrefix) return false;
-  if (std::string_view(path).substr(path.size() - suffix.size()) != suffix) return false;
-  *name = path.substr(kPrefix.size(), path.size() - kPrefix.size() - suffix.size());
-  return !name->empty();
-}
-
-bool ParseSnapshotRoute(const std::string& path, std::string* name) {
-  return ParseDatasetSubroute(path, "/snapshot", name);
-}
-
-bool ParseRowsRoute(const std::string& path, std::string* name) {
-  return ParseDatasetSubroute(path, "/rows", name);
-}
-
-/// True for routes that change server state: dataset create/delete/snapshot,
-/// row appends, session create/delete, commit. Reads and /healthz stay
-/// token-free so probes and dashboards need no credentials. Snapshot writes
-/// count as mutating — they create server-side files.
-bool IsMutatingRoute(const std::string& method, const std::string& path) {
-  if (method == "POST") {
-    if (path == "/v1/datasets" || path == "/v1/sessions" || path == "/v1/commit") {
-      return true;
-    }
-    std::string name;
-    return ParseSnapshotRoute(path, &name) || ParseRowsRoute(path, &name);
+/// True when `path` matches `pattern`, whose "{...}" (if any) stands for a
+/// non-empty segment; fills `param` with that segment on a match.
+bool MatchPattern(std::string_view pattern, std::string_view path, std::string* param) {
+  const size_t open = pattern.find('{');
+  if (open == std::string_view::npos) return path == pattern;
+  const std::string_view prefix = pattern.substr(0, open);
+  const std::string_view suffix = pattern.substr(pattern.find('}') + 1);
+  if (path.size() <= prefix.size() + suffix.size() || !path.starts_with(prefix) ||
+      !path.ends_with(suffix)) {
+    return false;
   }
-  if (method == "DELETE") {
-    return path.rfind("/v1/datasets/", 0) == 0 || path.rfind("/v1/sessions/", 0) == 0;
-  }
-  return false;
+  param->assign(path.substr(prefix.size(), path.size() - prefix.size() - suffix.size()));
+  return true;
 }
 
 /// True when the Authorization header is the Bearer scheme carrying exactly
@@ -433,19 +426,6 @@ std::vector<std::pair<std::string, std::string>> ParseQuery(std::string_view que
   return params;
 }
 
-/// "a,b,c" -> {a, b, c}; empty segments and an empty input yield nothing.
-std::vector<std::string> SplitCommaList(const std::string& value) {
-  std::vector<std::string> items;
-  size_t begin = 0;
-  while (begin <= value.size()) {
-    size_t end = value.find(',', begin);
-    if (end == std::string::npos) end = value.size();
-    if (end > begin) items.push_back(value.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return items;
-}
-
 /// Sink returned by StartStreamingBody when the request is rejected before
 /// any body byte is read (bad metadata, missing token): refuses the first
 /// chunk so the front end discards the upload and writes the stored error.
@@ -459,7 +439,40 @@ class RejectingSink final : public HttpBodySink {
   HttpResponse response_;
 };
 
+std::unique_ptr<HttpBodySink> Reject(const Status& status) {
+  return std::make_unique<RejectingSink>(ReptileService::ErrorResponse(status));
+}
+
+/// True when the Content-Type is text/csv, parameters allowed.
+bool IsCsvBody(const HttpRequest& head) {
+  const std::string* content_type = head.FindHeader("content-type");
+  if (content_type == nullptr) return false;
+  constexpr std::string_view kCsv = "text/csv";
+  std::string_view ct(*content_type);
+  if (ct.size() < kCsv.size()) return false;
+  for (size_t i = 0; i < kCsv.size(); ++i) {
+    char c = ct[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c + ('a' - 'A'));
+    if (c != kCsv[i]) return false;
+  }
+  // Some other text/csv* type is buffered normally.
+  return ct.size() == kCsv.size() || ct[kCsv.size()] == ';' || ct[kCsv.size()] == ' ' ||
+         ct[kCsv.size()] == '\t';
+}
+
 }  // namespace
+
+std::vector<std::string> SplitCommaList(const std::string& value) {
+  std::vector<std::string> items;
+  size_t begin = 0;
+  while (begin <= value.size()) {
+    size_t end = value.find(',', begin);
+    if (end == std::string::npos) end = value.size();
+    if (end > begin) items.push_back(value.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return items;
+}
 
 /// Streamed POST /v1/datasets body consumer: every chunk goes straight into
 /// CsvStreamParser, so the upload is never materialized as one string;
@@ -566,9 +579,87 @@ ReptileService::ReptileService(std::shared_ptr<DatasetRegistry> registry,
   if (options_.debug_request_ring > 0) {
     request_ring_ = std::make_unique<RequestRing>(options_.debug_request_ring);
   }
+  RegisterSeries();
 }
 
 ReptileService::~ReptileService() = default;
+
+void ReptileService::RegisterSeries() {
+  // Each callback runs under the metrics mutex at scrape time, reads through
+  // `this` (the registry dies with the service) and looks datasets up per
+  // scrape, so no callback holds a dataset alive.
+  metrics_->RegisterCallback("reptile_datasets", "Registered datasets", MetricType::kGauge,
+                             [this] { return registry_->size(); });
+  metrics_->RegisterCallback("reptile_sessions", "Live sessions (defaults included)",
+                             MetricType::kGauge, [this] {
+                               std::shared_lock<std::shared_mutex> lock(mu_);
+                               return static_cast<int64_t>(sessions_.size());
+                             });
+  metrics_->RegisterCallback("reptile_sessions_evicted_total",
+                             "Sessions evicted by the idle TTL", MetricType::kCounter,
+                             [this] { return sessions_evicted_.load(); });
+
+  // Both shared caches' counters, summed over every live dataset. Each
+  // dataset's counters are monotonic, but deleting a dataset drops its
+  // contribution, so the sums are gauges. A healthy warm deployment shows
+  // model-cache hits climbing while fits stay flat.
+  static constexpr std::pair<const char*, int64_t (PreparedDataset::*)() const> kCacheSums[] = {
+      {"aggregate_cache_entries", &PreparedDataset::cache_entries},
+      {"aggregate_cache_hits", &PreparedDataset::cache_hits},
+      {"aggregate_cache_misses", &PreparedDataset::cache_misses},
+      {"aggregate_cache_bytes", &PreparedDataset::cache_bytes},
+      {"aggregate_cache_evictions", &PreparedDataset::cache_evictions},
+      {"model_cache_entries", &PreparedDataset::model_cache_entries},
+      {"model_cache_hits", &PreparedDataset::model_cache_hits},
+      {"model_cache_misses", &PreparedDataset::model_cache_misses},
+      {"model_cache_fits", &PreparedDataset::model_cache_fits},
+      {"model_cache_bytes", &PreparedDataset::model_cache_bytes},
+      {"model_cache_evictions", &PreparedDataset::model_cache_evictions},
+  };
+  for (const auto& [name, read] : kCacheSums) {
+    metrics_->RegisterCallback(
+        std::string("reptile_") + name, std::string(name) + " summed over live datasets",
+        MetricType::kGauge, [this, read] {
+          int64_t total = 0;
+          for (const std::string& dataset : registry_->names()) {
+            Result<DatasetHandle> handle = registry_->Find(dataset);
+            if (handle.ok()) total += ((**handle).*read)();  // else removed since names()
+          }
+          return total;
+        });
+  }
+
+  // Version-chain state: live version count and head id per chain, plus the
+  // registry-wide GC and dirty-subtree invalidation counters.
+  auto per_chain = [this](int64_t (*value)(const DatasetVersionSummary&)) {
+    return [this, value] {
+      LabelledSamples samples;
+      for (const DatasetVersionSummary& summary : registry_->VersionSummaries()) {
+        samples.emplace_back(summary.name, value(summary));
+      }
+      return samples;
+    };
+  };
+  metrics_->RegisterCallbackFamily(
+      "reptile_dataset_versions", "Live (pinned or head) versions per dataset chain",
+      MetricType::kGauge, "dataset", per_chain([](const DatasetVersionSummary& summary) {
+        return static_cast<int64_t>(summary.live.size());
+      }));
+  metrics_->RegisterCallbackFamily(
+      "reptile_dataset_head_version", "Head version id per dataset chain", MetricType::kGauge,
+      "dataset", per_chain([](const DatasetVersionSummary& summary) { return summary.head; }));
+  metrics_->RegisterCallback("reptile_versions_gc_total",
+                             "Unpinned ancestor versions retired by the version GC",
+                             MetricType::kCounter, [this] { return registry_->versions_gc(); });
+  metrics_->RegisterCallback(
+      "reptile_cache_invalidations_total",
+      "Aggregate-cache (hierarchy, depth) entries invalidated by dirty-subtree appends",
+      MetricType::kCounter, [this] { return registry_->cache_invalidations(); });
+
+  metrics_->RegisterCallback("reptile_shared_pool_queue_depth",
+                             "Tasks queued or running on the process-wide shared compute pool.",
+                             MetricType::kGauge, [] { return SharedThreadPoolPendingTasks(); });
+}
 
 int64_t ReptileService::NowNs() const {
   std::chrono::steady_clock::time_point now =
@@ -868,54 +959,52 @@ std::string ReptileService::SessionSnapshotJson(SessionEntry& entry) {
   return out;
 }
 
-bool ReptileService::CheckAuth(const HttpRequest& request) const {
-  if (options_.auth_token.empty()) return true;
-  if (!IsMutatingRoute(request.method, request.path)) return true;
-  return BearerTokenMatches(request, options_.auth_token);
+const ReptileService::Route* ReptileService::MatchRoute(const HttpRequest& request,
+                                                       std::string* param,
+                                                       std::string* allow) const {
+  std::string_view matched;  // the first pattern the path matches
+  for (const Route& route : Routes()) {
+    if (route.enabled != nullptr && !route.enabled(options_)) continue;
+    if (matched.empty()) {
+      if (!MatchPattern(route.pattern, request.path, param)) continue;
+      matched = route.pattern;
+    } else if (matched != route.pattern) {
+      continue;
+    }
+    if (request.method == route.method) return &route;
+    if (allow != nullptr) *allow += (allow->empty() ? "" : ", ") + std::string(route.method);
+  }
+  return nullptr;
+}
+
+bool ReptileService::CheckAuth(const Route& route, const HttpRequest& request) const {
+  return !route.gated || options_.auth_token.empty() ||
+         BearerTokenMatches(request, options_.auth_token);
 }
 
 std::unique_ptr<HttpBodySink> ReptileService::StartStreamingBody(const HttpRequest& head) {
-  if (head.method != "POST") return nullptr;
-  std::string append_name;
-  const bool is_upload = head.path == "/v1/datasets";
-  const bool is_append = !is_upload && ParseRowsRoute(head.path, &append_name);
-  if (!is_upload && !is_append) return nullptr;
-  const std::string* content_type = head.FindHeader("content-type");
-  if (content_type == nullptr) return nullptr;
-  constexpr std::string_view kCsv = "text/csv";
-  std::string_view ct(*content_type);
-  if (ct.size() < kCsv.size()) return nullptr;
-  for (size_t i = 0; i < kCsv.size(); ++i) {
-    char c = ct[i];
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c + ('a' - 'A'));
-    if (c != kCsv[i]) return nullptr;
-  }
-  if (ct.size() > kCsv.size() && ct[kCsv.size()] != ';' && ct[kCsv.size()] != ' ' &&
-      ct[kCsv.size()] != '\t') {
-    return nullptr;  // some other text/csv* type; buffer it normally
-  }
-
+  RouteArgs args{head, std::string(), nullptr};
+  const Route* route = MatchRoute(head, &args.param, nullptr);
+  if (route == nullptr || route->stream_csv == nullptr || !IsCsvBody(head)) return nullptr;
   // From here on the request IS a streamed upload: failures must be reported
   // through a sink (there is no buffered handler to fall back to), and the
   // sink rejects the body so the server never reads an upload it won't use.
-  if (!CheckAuth(head)) {
-    return std::make_unique<RejectingSink>(UnauthorizedResponse());
-  }
-  auto reject = [](Status status) {
-    return std::make_unique<RejectingSink>(ErrorResponse(status));
-  };
+  if (!CheckAuth(*route, head)) return std::make_unique<RejectingSink>(UnauthorizedResponse());
+  return (this->*route->stream_csv)(args);
+}
 
-  if (is_append) {
-    // No query parameters: the dataset already defines the schema and the
-    // separator, so anything here is caller confusion worth rejecting.
-    if (!head.query.empty()) {
-      return reject(Status::InvalidArgument(
-          "a streamed append takes no query parameters (the dataset already defines "
-          "its columns and separator)"));
-    }
-    return std::make_unique<DatasetAppendSink>(this, std::move(append_name));
+std::unique_ptr<HttpBodySink> ReptileService::StreamDatasetAppend(const RouteArgs& args) {
+  // No query parameters: the dataset already defines the schema and the
+  // separator, so anything here is caller confusion worth rejecting.
+  if (!args.request.query.empty()) {
+    return Reject(Status::InvalidArgument(
+        "a streamed append takes no query parameters (the dataset already defines "
+        "its columns and separator)"));
   }
+  return std::make_unique<DatasetAppendSink>(this, args.param);
+}
 
+std::unique_ptr<HttpBodySink> ReptileService::StreamDatasetCreate(const RouteArgs& args) {
   std::string name;
   std::string separator = ",";
   CsvSpec spec;
@@ -923,7 +1012,7 @@ std::unique_ptr<HttpBodySink> ReptileService::StartStreamingBody(const HttpReque
   std::vector<std::string> commits;
   bool saw_name = false;
   bool saw_dimensions = false;
-  for (const auto& [key, value] : ParseQuery(head.query)) {
+  for (const auto& [key, value] : ParseQuery(args.request.query)) {
     if (key == "name") {
       name = value;
       saw_name = true;
@@ -944,29 +1033,29 @@ std::unique_ptr<HttpBodySink> ReptileService::StartStreamingBody(const HttpReque
         schema.attributes = SplitCommaList(value.substr(colon + 1));
       }
       if (schema.name.empty() || schema.attributes.empty()) {
-        return reject(Status::InvalidArgument(
+        return Reject(Status::InvalidArgument(
             "query parameter \"hierarchy\" must look like name:attr1,attr2, got \"" +
             value + "\""));
       }
       hierarchies.push_back(std::move(schema));
     } else {
-      return reject(Status::InvalidArgument(
+      return Reject(Status::InvalidArgument(
           "unknown query parameter \"" + key +
           "\" for a streamed dataset upload (expected one of: name, dimensions, "
           "measures, hierarchy, commits, separator)"));
     }
   }
   if (!saw_name || name.empty()) {
-    return reject(Status::InvalidArgument(
+    return Reject(Status::InvalidArgument(
         "a streamed dataset upload needs a non-empty \"name\" query parameter"));
   }
   if (!saw_dimensions || spec.dimension_columns.empty()) {
-    return reject(Status::InvalidArgument(
+    return Reject(Status::InvalidArgument(
         "a streamed dataset upload needs a \"dimensions\" query parameter "
         "(comma-separated column names)"));
   }
   if (separator.size() != 1) {
-    return reject(Status::InvalidArgument(
+    return Reject(Status::InvalidArgument(
         "separator must be a single character, got \"" + separator + "\""));
   }
   spec.separator = separator[0];
@@ -1055,322 +1144,92 @@ HttpResponse ReptileService::Handle(const HttpRequest& request) {
   return response;
 }
 
+std::span<const ReptileService::Route> ReptileService::Routes() {
+  using S = ReptileService;
+  constexpr bool kGated = true, kOpen = false;
+  static constexpr Route kRoutes[] = {
+      {"GET", "/healthz", kOpen, nullptr, nullptr, &S::HandleHealthz},
+      {"GET", "/metricsz", kOpen, nullptr, nullptr, &S::HandleMetricsz},
+      // Opt-in (a 404 when off, so an exposed server shows no such route);
+      // read-only, but request paths and ids are operational data.
+      {"GET", "/v1/debug/requests", kGated,
+       [](const ServiceOptions& o) { return o.debug_request_ring > 0; }, nullptr,
+       &S::HandleDebugRequests},
+      {"GET", "/v1/datasets", kOpen, nullptr, nullptr, &S::HandleDatasetList},
+      {"POST", "/v1/datasets", kGated, nullptr, &S::StreamDatasetCreate,
+       &S::HandleDatasetCreate},
+      // Snapshot writes create server-side files, so they are gated too.
+      {"POST", "/v1/datasets/{name}/snapshot", kGated, nullptr, nullptr,
+       &S::HandleDatasetSnapshot},
+      {"POST", "/v1/datasets/{name}/rows", kGated, nullptr, &S::StreamDatasetAppend,
+       &S::HandleDatasetAppend},
+      {"DELETE", "/v1/datasets/{name}", kGated, nullptr, nullptr, &S::HandleDatasetDelete},
+      {"GET", "/v1/sessions", kOpen, nullptr, nullptr, &S::HandleSessionList},
+      {"POST", "/v1/sessions", kGated, nullptr, nullptr, &S::HandleSessionCreate},
+      {"GET", "/v1/sessions/{id}", kOpen, nullptr, nullptr, &S::HandleSessionGet},
+      {"DELETE", "/v1/sessions/{id}", kGated, nullptr, nullptr, &S::HandleSessionDelete},
+      {"POST", "/v1/recommend", kOpen, nullptr, nullptr, &S::HandleRecommend},
+      {"POST", "/v1/recommend_batch", kOpen, nullptr, nullptr, &S::HandleRecommend},
+      {"POST", "/v1/view", kOpen, nullptr, nullptr, &S::HandleView},
+      {"POST", "/v1/commit", kGated, nullptr, nullptr, &S::HandleCommit},
+      {"POST", "/v1/_debug/status", kOpen,
+       [](const ServiceOptions& o) { return o.enable_debug_status_route; }, nullptr,
+       &S::HandleDebugStatus},
+  };
+  return kRoutes;
+}
+
 HttpResponse ReptileService::HandleInternal(const HttpRequest& request,
                                             TraceContext* trace) {
-  if (!CheckAuth(request)) return UnauthorizedResponse();
-  const std::string& path = request.path;
-  if (path == "/healthz") {
-    if (request.method != "GET") return MethodNotAllowed("GET");
-    return HandleHealthz();
+  RouteArgs args{request, std::string(), trace};
+  std::string allow;
+  const Route* route = MatchRoute(request, &args.param, &allow);
+  if (route == nullptr) {
+    if (!allow.empty()) return MethodNotAllowed(allow);
+    return ErrorResponse(Status::NotFound("no route matches " + request.path));
   }
-  if (path == "/metricsz") {
-    if (request.method != "GET") return MethodNotAllowed("GET");
-    return HandleMetricsz();
-  }
-  if (path == "/v1/debug/requests") {
-    // 404 when the ring is off: introspection is opt-in, and an exposed
-    // server without the flag should look like it has no such route at all.
-    if (request_ring_ == nullptr) {
-      return ErrorResponse(Status::NotFound("no route matches " + path));
-    }
-    if (request.method != "GET") return MethodNotAllowed("GET");
-    // Read-only, but operational data (request paths, client-chosen ids):
-    // bearer-gated whenever auth is configured, unlike /healthz.
-    if (!options_.auth_token.empty() &&
-        !BearerTokenMatches(request, options_.auth_token)) {
-      return UnauthorizedResponse();
-    }
-    return HandleDebugRequests();
-  }
-  if (path == "/v1/datasets") {
-    if (request.method == "GET") return HandleDatasetList();
-    if (request.method == "POST") return HandleDatasetCreate(request.body);
-    return MethodNotAllowed("GET, POST");
-  }
-  if (path == "/v1/sessions") {
-    if (request.method == "GET") return HandleSessionList();
-    if (request.method == "POST") return HandleSessionCreate(request.body);
-    return MethodNotAllowed("GET, POST");
-  }
-  constexpr std::string_view kDatasetPrefix = "/v1/datasets/";
-  if (path.size() > kDatasetPrefix.size() &&
-      std::string_view(path).substr(0, kDatasetPrefix.size()) == kDatasetPrefix) {
-    std::string snapshot_name;
-    if (ParseSnapshotRoute(path, &snapshot_name)) {
-      if (request.method == "POST") return HandleDatasetSnapshot(snapshot_name, request.body);
-      return MethodNotAllowed("POST");
-    }
-    std::string rows_name;
-    if (ParseRowsRoute(path, &rows_name)) {
-      if (request.method == "POST") return HandleDatasetAppend(rows_name, request.body);
-      return MethodNotAllowed("POST");
-    }
-    std::string name = path.substr(kDatasetPrefix.size());
-    if (request.method == "DELETE") return HandleDatasetDelete(name);
-    return MethodNotAllowed("DELETE");
-  }
-  constexpr std::string_view kSessionPrefix = "/v1/sessions/";
-  if (path.size() > kSessionPrefix.size() &&
-      std::string_view(path).substr(0, kSessionPrefix.size()) == kSessionPrefix) {
-    std::string id = path.substr(kSessionPrefix.size());
-    if (request.method == "GET") return HandleSessionGet(id);
-    if (request.method == "DELETE") return HandleSessionDelete(id);
-    return MethodNotAllowed("GET, DELETE");
-  }
-  if (path == "/v1/recommend" || path == "/v1/recommend_batch") {
-    if (request.method != "POST") return MethodNotAllowed("POST");
-    return HandleRecommend(request.body, /*batch=*/path == "/v1/recommend_batch", trace);
-  }
-  if (path == "/v1/view") {
-    if (request.method != "POST") return MethodNotAllowed("POST");
-    return HandleView(request.body);
-  }
-  if (path == "/v1/commit") {
-    if (request.method != "POST") return MethodNotAllowed("POST");
-    return HandleCommit(request.body);
-  }
-  if (options_.enable_debug_status_route && path == "/v1/_debug/status") {
-    if (request.method != "POST") return MethodNotAllowed("POST");
-    return HandleDebugStatus(request.body);
-  }
-  return ErrorResponse(Status::NotFound("no route matches " + path));
+  if (!CheckAuth(*route, request)) return UnauthorizedResponse();
+  return (this->*route->handle)(args);
 }
 
-// Warm-path observability: both shared caches' counters, summed over every
-// registered dataset. A healthy warm deployment shows model-cache hits
-// climbing while fits stay flat — zero-fit sessions without a debugger.
-// Gauge semantics: deleting a dataset drops its (monotonic) contribution
-// from these sums, so they can step backwards across DELETE /v1/datasets.
-struct ReptileService::CacheTotals {
-  int64_t agg_entries = 0, agg_hits = 0, agg_misses = 0;
-  int64_t agg_bytes = 0, agg_evictions = 0;
-  int64_t model_entries = 0, model_hits = 0, model_misses = 0, model_fits = 0;
-  int64_t model_bytes = 0, model_evictions = 0;
-};
-
-ReptileService::CacheTotals ReptileService::CollectCacheTotals() const {
-  CacheTotals t;
-  for (const std::string& name : registry_->names()) {
-    Result<DatasetHandle> handle = registry_->Find(name);
-    if (!handle.ok()) continue;  // removed between names() and Find()
-    t.agg_entries += (*handle)->cache_entries();
-    t.agg_hits += (*handle)->cache_hits();
-    t.agg_misses += (*handle)->cache_misses();
-    t.agg_bytes += static_cast<int64_t>((*handle)->cache_bytes());
-    t.agg_evictions += (*handle)->cache_evictions();
-    t.model_entries += (*handle)->model_cache_entries();
-    t.model_hits += (*handle)->model_cache_hits();
-    t.model_misses += (*handle)->model_cache_misses();
-    t.model_fits += (*handle)->model_cache_fits();
-    t.model_bytes += static_cast<int64_t>((*handle)->model_cache_bytes());
-    t.model_evictions += (*handle)->model_cache_evictions();
-  }
-  return t;
-}
-
-HttpResponse ReptileService::HandleHealthz() {
-  size_t sessions;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sessions = sessions_.size();
-  }
-  CacheTotals t = CollectCacheTotals();
+HttpResponse ReptileService::HandleHealthz(const RouteArgs&) {
   int64_t uptime = std::chrono::duration_cast<std::chrono::seconds>(
                        std::chrono::steady_clock::now() - start_time_)
                        .count();
-  std::string versions = "[";
-  {
-    bool first = true;
-    for (const DatasetVersionSummary& summary : registry_->VersionSummaries()) {
-      if (!first) versions += ',';
-      first = false;
-      versions += "{\"dataset\":" + JsonQuote(summary.name) +
-                  ",\"head\":" + std::to_string(summary.head) + ",\"live\":[";
-      for (size_t i = 0; i < summary.live.size(); ++i) {
-        if (i > 0) versions += ',';
-        versions += std::to_string(summary.live[i]);
-      }
-      versions += "]}";
+  // The version chains are lists of live ids, not number series, so they
+  // ride here alone; every number is a "metrics" series.
+  std::string body = "{\"status\":\"ok\",\"versions\":[";
+  const char* separator = "";
+  for (const DatasetVersionSummary& summary : registry_->VersionSummaries()) {
+    body += separator;
+    separator = ",";
+    body += "{\"dataset\":" + JsonQuote(summary.name) +
+            ",\"head\":" + std::to_string(summary.head) + ",\"live\":[";
+    for (size_t i = 0; i < summary.live.size(); ++i) {
+      if (i > 0) body += ',';
+      body += std::to_string(summary.live[i]);
     }
-    versions += "]";
+    body += "]}";
   }
-  std::string body =
-      "{\"status\":\"ok\",\"datasets\":" + std::to_string(registry_->size()) +
-      ",\"sessions\":" + std::to_string(sessions) +
-      ",\"sessions_evicted\":" + std::to_string(sessions_evicted_.load()) +
-      ",\"versions\":" + versions +
-      ",\"versions_gc\":" + std::to_string(registry_->versions_gc()) +
-      ",\"cache_invalidations\":" + std::to_string(registry_->cache_invalidations()) +
-      ",\"aggregate_cache\":{\"entries\":" + std::to_string(t.agg_entries) +
-      ",\"hits\":" + std::to_string(t.agg_hits) +
-      ",\"misses\":" + std::to_string(t.agg_misses) +
-      ",\"bytes\":" + std::to_string(t.agg_bytes) +
-      ",\"evictions\":" + std::to_string(t.agg_evictions) +
-      "},\"model_cache\":{\"entries\":" + std::to_string(t.model_entries) +
-      ",\"hits\":" + std::to_string(t.model_hits) +
-      ",\"misses\":" + std::to_string(t.model_misses) +
-      ",\"fits\":" + std::to_string(t.model_fits) +
-      ",\"bytes\":" + std::to_string(t.model_bytes) +
-      ",\"evictions\":" + std::to_string(t.model_evictions) +
-      "},\"uptime_seconds\":" + std::to_string(uptime) +
-      ",\"pid\":" + std::to_string(static_cast<int64_t>(getpid())) +
-      ",\"build\":" + BuildInfoJson() +
-      ",\"metrics\":" + metrics_->RenderJson();
-  if (options_.transport_stats_json != nullptr) {
-    body += ",\"transport\":" + options_.transport_stats_json();
-  }
-  body += "}";
+  body += "],\"uptime_seconds\":" + std::to_string(uptime) +
+          ",\"pid\":" + std::to_string(static_cast<int64_t>(getpid())) +
+          ",\"build\":" + BuildInfoJson() + ",\"metrics\":" + metrics_->RenderJson() + "}";
   return HttpResponse::Json(200, std::move(body));
 }
 
-namespace {
-
-// One hand-rendered Prometheus series for the values that already live
-// elsewhere (cache sums, session counts, transport stats) and are sampled at
-// scrape time instead of mirrored into the registry on every change.
-void AppendPromSeries(std::string* out, const std::string& name, const char* help,
-                      const char* type, int64_t value) {
-  *out += "# HELP " + name + " " + help + "\n";
-  *out += "# TYPE " + name + " ";
-  *out += type;
-  *out += "\n" + name + " " + std::to_string(value) + "\n";
-}
-
-/// Prometheus label-value escaping: backslash, double quote, newline.
-std::string PromLabelEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// The labeled variant: one HELP/TYPE header, then one sample per
-/// (label value, sample) pair under the given label key.
-void AppendPromSeries(std::string* out, const std::string& name, const char* help,
-                      const char* type, const char* label_key,
-                      const std::vector<std::pair<std::string, int64_t>>& samples) {
-  *out += "# HELP " + name + " " + help + "\n";
-  *out += "# TYPE " + name + " ";
-  *out += type;
-  *out += "\n";
-  for (const auto& [label, value] : samples) {
-    *out += name + "{" + label_key + "=\"" + PromLabelEscape(label) + "\"} " +
-            std::to_string(value) + "\n";
-  }
-}
-
-}  // namespace
-
-HttpResponse ReptileService::HandleMetricsz() {
-  EnsureProcessMetrics();
-  size_t sessions;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sessions = sessions_.size();
-  }
-  CacheTotals t = CollectCacheTotals();
-
-  // Request-path series (this service's registry), then the process-wide
-  // gauges, then the scrape-time samples.
-  std::string body = metrics_->RenderPrometheus();
-  body += MetricsRegistry::Global().RenderPrometheus();
-  AppendPromSeries(&body, "reptile_datasets", "Registered datasets", "gauge",
-                   static_cast<int64_t>(registry_->size()));
-  AppendPromSeries(&body, "reptile_sessions", "Live sessions (defaults included)",
-                   "gauge", static_cast<int64_t>(sessions));
-  AppendPromSeries(&body, "reptile_sessions_evicted_total",
-                   "Sessions evicted by the idle TTL", "counter",
-                   sessions_evicted_.load());
-  AppendPromSeries(&body, "reptile_aggregate_cache_entries",
-                   "Shared aggregate-cache entries over live datasets", "gauge",
-                   t.agg_entries);
-  AppendPromSeries(&body, "reptile_aggregate_cache_hits",
-                   "Aggregate-cache hits summed over live datasets", "gauge",
-                   t.agg_hits);
-  AppendPromSeries(&body, "reptile_aggregate_cache_misses",
-                   "Aggregate-cache misses summed over live datasets", "gauge",
-                   t.agg_misses);
-  AppendPromSeries(&body, "reptile_aggregate_cache_bytes",
-                   "Aggregate-cache resident bytes over live datasets", "gauge",
-                   t.agg_bytes);
-  AppendPromSeries(&body, "reptile_aggregate_cache_evictions",
-                   "Aggregate-cache evictions summed over live datasets", "gauge",
-                   t.agg_evictions);
-  AppendPromSeries(&body, "reptile_model_cache_entries",
-                   "Fitted-model cache entries over live datasets", "gauge",
-                   t.model_entries);
-  AppendPromSeries(&body, "reptile_model_cache_hits",
-                   "Model-cache hits summed over live datasets", "gauge", t.model_hits);
-  AppendPromSeries(&body, "reptile_model_cache_misses",
-                   "Model-cache misses summed over live datasets", "gauge",
-                   t.model_misses);
-  AppendPromSeries(&body, "reptile_model_cache_fits",
-                   "Models fitted, summed over live datasets", "gauge", t.model_fits);
-  AppendPromSeries(&body, "reptile_model_cache_bytes",
-                   "Model-cache resident bytes over live datasets", "gauge",
-                   t.model_bytes);
-  AppendPromSeries(&body, "reptile_model_cache_evictions",
-                   "Model-cache evictions summed over live datasets", "gauge",
-                   t.model_evictions);
-
-  // Version-chain state: live version count and head id per chain, plus the
-  // registry-wide GC / dirty-subtree invalidation counters.
-  {
-    std::vector<std::pair<std::string, int64_t>> live_counts, heads;
-    for (const DatasetVersionSummary& summary : registry_->VersionSummaries()) {
-      live_counts.emplace_back(summary.name, static_cast<int64_t>(summary.live.size()));
-      heads.emplace_back(summary.name, summary.head);
-    }
-    AppendPromSeries(&body, "reptile_dataset_versions",
-                     "Live (pinned or head) versions per dataset chain", "gauge",
-                     "dataset", live_counts);
-    AppendPromSeries(&body, "reptile_dataset_head_version",
-                     "Head version id per dataset chain", "gauge", "dataset", heads);
-  }
-  AppendPromSeries(&body, "reptile_versions_gc_total",
-                   "Unpinned ancestor versions retired by the version GC", "counter",
-                   registry_->versions_gc());
-  AppendPromSeries(&body, "reptile_cache_invalidations_total",
-                   "Aggregate-cache (hierarchy, depth) entries invalidated by "
-                   "dirty-subtree appends",
-                   "counter", registry_->cache_invalidations());
-
-  // Front-end transport counters (connections, backpressure trips, ...),
-  // re-exported from the same hook /healthz uses. Top-level integers
-  // only — that is the whole StatsJson shape.
-  if (options_.transport_stats_json != nullptr) {
-    Result<JsonValue> stats = ParseJson(options_.transport_stats_json());
-    if (stats.ok() && stats->is_object()) {
-      for (const auto& [key, value] : stats->object_items()) {
-        if (!value.IsInteger()) continue;
-        AppendPromSeries(&body, "reptile_transport_" + key,
-                         "Front-end transport counter (see /healthz transport)",
-                         "gauge", value.IntValue());
-      }
-    }
-  }
-
+HttpResponse ReptileService::HandleMetricsz(const RouteArgs&) {
   HttpResponse response;
   response.status = 200;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  response.body = std::move(body);
+  response.body = metrics_->RenderPrometheus();
   return response;
 }
 
-HttpResponse ReptileService::HandleDebugRequests() {
+HttpResponse ReptileService::HandleDebugRequests(const RouteArgs&) {
   return HttpResponse::Json(200, request_ring_->ToJson());
 }
 
-HttpResponse ReptileService::HandleDatasetList() {
+HttpResponse ReptileService::HandleDatasetList(const RouteArgs&) {
   JsonValue root = JsonValue::Object();
   JsonValue datasets = JsonValue::Array();
   for (const std::string& name : registry_->names()) {
@@ -1479,15 +1338,10 @@ Result<std::string> ReptileService::ResolveUnderDatasetRoot(const std::string& r
   return resolved.string();
 }
 
-HttpResponse ReptileService::HandleDatasetSnapshot(const std::string& name,
-                                                   const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleDatasetSnapshot(const RouteArgs& args) {
+  const std::string& name = args.param;
+  Result<JsonValue> parsed = ParseObjectBody(args.request.body, {"path"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known = CheckKnownKeys(*parsed, "request body", {"path"});
-  if (!known.ok()) return ErrorResponse(known);
   Result<std::string> relative = StringField(*parsed, "request body", "path", true);
   if (!relative.ok()) return ErrorResponse(relative.status());
   Result<std::string> resolved = ResolveUnderDatasetRoot(*relative, "path");
@@ -1504,17 +1358,11 @@ HttpResponse ReptileService::HandleDatasetSnapshot(const std::string& name,
   return HttpResponse::Json(201, std::move(response));
 }
 
-HttpResponse ReptileService::HandleDatasetCreate(const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleDatasetCreate(const RouteArgs& args) {
+  Result<JsonValue> parsed =
+      ParseObjectBody(args.request.body, {"name", "csv", "path", "snapshot", "dimensions",
+                                          "measures", "hierarchies", "separator", "commits"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known = CheckKnownKeys(
-      *parsed, "request body",
-      {"name", "csv", "path", "snapshot", "dimensions", "measures", "hierarchies",
-       "separator", "commits"});
-  if (!known.ok()) return ErrorResponse(known);
 
   Result<std::string> name = StringField(*parsed, "request body", "name", true);
   if (!name.ok()) return ErrorResponse(name.status());
@@ -1630,10 +1478,10 @@ HttpResponse ReptileService::HandleDatasetCreate(const std::string& body) {
   return HttpResponse::Json(201, std::move(response));
 }
 
-HttpResponse ReptileService::HandleDatasetDelete(const std::string& name) {
-  Status removed = RemoveDataset(name);
+HttpResponse ReptileService::HandleDatasetDelete(const RouteArgs& args) {
+  Status removed = RemoveDataset(args.param);
   if (!removed.ok()) return ErrorResponse(removed);
-  return HttpResponse::Json(200, "{\"deleted\":" + JsonQuote(name) + "}");
+  return HttpResponse::Json(200, "{\"deleted\":" + JsonQuote(args.param) + "}");
 }
 
 Result<std::string> ReptileService::AppendToDataset(const std::string& name,
@@ -1715,23 +1563,17 @@ Result<std::string> ReptileService::AppendToDataset(const std::string& name,
          ",\"session\":" + JsonQuote(id) + "}";
 }
 
-HttpResponse ReptileService::HandleDatasetAppend(const std::string& name,
-                                                 const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleDatasetAppend(const RouteArgs& args) {
+  Result<JsonValue> parsed = ParseObjectBody(args.request.body, {"csv"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known = CheckKnownKeys(*parsed, "request body", {"csv"});
-  if (!known.ok()) return ErrorResponse(known);
   Result<std::string> csv = StringField(*parsed, "request body", "csv", true);
   if (!csv.ok()) return ErrorResponse(csv.status());
-  Result<std::string> response = AppendToDataset(name, *csv, "inline csv");
+  Result<std::string> response = AppendToDataset(args.param, *csv, "inline csv");
   if (!response.ok()) return ErrorResponse(response.status());
   return HttpResponse::Json(201, std::move(response).value());
 }
 
-HttpResponse ReptileService::HandleSessionList() {
+HttpResponse ReptileService::HandleSessionList(const RouteArgs&) {
   EvictIdleSessions();
   std::vector<EntryPtr> entries;
   {
@@ -1748,15 +1590,10 @@ HttpResponse ReptileService::HandleSessionList() {
   return HttpResponse::Json(200, std::move(body));
 }
 
-HttpResponse ReptileService::HandleSessionCreate(const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleSessionCreate(const RouteArgs& args) {
+  Result<JsonValue> parsed =
+      ParseObjectBody(args.request.body, {"dataset", "committed", "options"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known =
-      CheckKnownKeys(*parsed, "request body", {"dataset", "committed", "options"});
-  if (!known.ok()) return ErrorResponse(known);
   Result<std::string> dataset = StringField(*parsed, "request body", "dataset", true);
   if (!dataset.ok()) return ErrorResponse(dataset.status());
   Result<std::map<std::string, int>> committed = ParseCommittedMap(*parsed, "request body");
@@ -1792,33 +1629,25 @@ HttpResponse ReptileService::HandleSessionCreate(const std::string& body) {
   return HttpResponse::Json(201, SessionSnapshotJson(**entry));
 }
 
-HttpResponse ReptileService::HandleSessionGet(const std::string& id) {
-  Result<EntryPtr> entry = FindSession(id);
+HttpResponse ReptileService::HandleSessionGet(const RouteArgs& args) {
+  Result<EntryPtr> entry = FindSession(args.param);
   if (!entry.ok()) return ErrorResponse(entry.status());
   return HttpResponse::Json(200, SessionSnapshotJson(**entry));
 }
 
-HttpResponse ReptileService::HandleSessionDelete(const std::string& id) {
-  Status deleted = DeleteSession(id);
+HttpResponse ReptileService::HandleSessionDelete(const RouteArgs& args) {
+  Status deleted = DeleteSession(args.param);
   if (!deleted.ok()) return ErrorResponse(deleted);
-  return HttpResponse::Json(200, "{\"deleted\":" + JsonQuote(id) + "}");
+  return HttpResponse::Json(200, "{\"deleted\":" + JsonQuote(args.param) + "}");
 }
 
-HttpResponse ReptileService::HandleRecommend(const std::string& body, bool batch,
-                                             TraceContext* trace) {
-  Result<JsonValue> parsed = [&] {
-    ScopedSpan parse_span(trace, "parse");
-    return ParseJson(body);
-  }();
+HttpResponse ReptileService::HandleRecommend(const RouteArgs& args) {
+  const bool batch = args.request.path == "/v1/recommend_batch";
+  TraceContext* trace = args.trace;
+  Result<JsonValue> parsed = ParseObjectBody(
+      args.request.body, {"session", "dataset", batch ? "complaints" : "complaint", "options"},
+      trace);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  const char* complaint_key = batch ? "complaints" : "complaint";
-  Status known = CheckKnownKeys(*parsed, "request body",
-                                {"session", "dataset", std::string_view(complaint_key),
-                                 "options"});
-  if (!known.ok()) return ErrorResponse(known);
 
   Result<EntryPtr> entry = ResolveTarget(*parsed);
   if (!entry.ok()) return ErrorResponse(entry.status());
@@ -1919,15 +1748,10 @@ HttpResponse ReptileService::HandleRecommend(const std::string& body, bool batch
   return ok;
 }
 
-HttpResponse ReptileService::HandleView(const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleView(const RouteArgs& args) {
+  Result<JsonValue> parsed = ParseObjectBody(
+      args.request.body, {"session", "dataset", "group_by", "measure", "where"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known = CheckKnownKeys(*parsed, "request body",
-                                {"session", "dataset", "group_by", "measure", "where"});
-  if (!known.ok()) return ErrorResponse(known);
 
   Result<EntryPtr> entry = ResolveTarget(*parsed);
   if (!entry.ok()) return ErrorResponse(entry.status());
@@ -1967,15 +1791,10 @@ HttpResponse ReptileService::HandleView(const std::string& body) {
   return ok;
 }
 
-HttpResponse ReptileService::HandleCommit(const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleCommit(const RouteArgs& args) {
+  Result<JsonValue> parsed =
+      ParseObjectBody(args.request.body, {"session", "dataset", "hierarchy"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known =
-      CheckKnownKeys(*parsed, "request body", {"session", "dataset", "hierarchy"});
-  if (!known.ok()) return ErrorResponse(known);
 
   Result<std::string> hierarchy = StringField(*parsed, "request body", "hierarchy", true);
   if (!hierarchy.ok()) return ErrorResponse(hierarchy.status());
@@ -1998,14 +1817,9 @@ HttpResponse ReptileService::HandleCommit(const std::string& body) {
   return ok;
 }
 
-HttpResponse ReptileService::HandleDebugStatus(const std::string& body) {
-  Result<JsonValue> parsed = ParseJson(body);
+HttpResponse ReptileService::HandleDebugStatus(const RouteArgs& args) {
+  Result<JsonValue> parsed = ParseObjectBody(args.request.body, {"code", "message"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  if (!parsed->is_object()) {
-    return ErrorResponse(WrongType("request body", "an object", *parsed));
-  }
-  Status known = CheckKnownKeys(*parsed, "request body", {"code", "message"});
-  if (!known.ok()) return ErrorResponse(known);
   Result<std::string> code_name = StringField(*parsed, "request body", "code", true);
   if (!code_name.ok()) return ErrorResponse(code_name.status());
   Result<std::string> message =

@@ -2,92 +2,22 @@
 // DatasetRegistry plus a runtime-mutable table of per-client Sessions, with
 // the api/ Status error contract spoken as HTTP status codes.
 //
-// Routes (all bodies are JSON):
-//   GET    /healthz            liveness + warm-path counters: datasets,
-//                              sessions, sessions_evicted, and the shared
-//                              aggregate-/model-cache hit/miss/entry (+fits)
-//                              totals summed over every LIVE dataset — each
-//                              dataset's counters are monotonic, but deleting
-//                              a dataset drops its contribution, so treat the
-//                              sums as a gauge, not a monotonic counter.
-//                              Version-chain state rides along: a "versions"
-//                              array (per dataset: head id + live version
-//                              ids) plus the registry's versions_gc /
-//                              cache_invalidations counters
-//   GET    /metricsz           Prometheus text exposition (version 0.0.4):
-//                              request-latency and per-stage histograms, the
-//                              cache/session/transport counters, and the
-//                              process-wide gauges
-//   GET    /v1/debug/requests  the bounded ring of recent request trace
-//                              records (opt-in via ServiceOptions::
-//                              debug_request_ring; requires the bearer token
-//                              when auth is configured)
-//   GET    /v1/datasets        registered datasets: columns, hierarchies, and
-//                              the DEFAULT session's drill state
-//   POST   /v1/datasets        load a dataset into the registry — server-side
-//                              CSV file ("path") or inline upload ("csv"),
-//                              with "dimensions"/"measures"/"hierarchies"
-//                              typing; opens the dataset's default session.
-//                              With a text/csv Content-Type the body is the
-//                              raw CSV, STREAMED through CsvStreamParser
-//                              (never materialized), and the typing rides the
-//                              query string — see StartStreamingBody()
-//   DELETE /v1/datasets/{name} drop the dataset — the WHOLE version chain —
-//                              and every session over any of its versions
-//                              (in-flight requests finish; the prepared
-//                              dataset is freed when the last handle drops)
-//   POST   /v1/datasets/{name}/rows
-//                              append rows: {"csv": "..."} (inline, same
-//                              separator conventions as upload) or a raw
-//                              text/csv body. The header must carry exactly
-//                              the dataset's columns — schema or hierarchy
-//                              changes are 400 naming the column. Produces
-//                              an immutable new version ("name@v2", ...)
-//                              that structurally shares unchanged columns,
-//                              dictionary prefixes, f-tree subtrees and
-//                              (hierarchy, depth) aggregates with its parent
-//                              (version/append.h); the default session moves
-//                              to the new head (committed depths preserved),
-//                              while named sessions stay PINNED to the
-//                              version they opened. Unpinned ancestors are
-//                              garbage-collected. 201 body:
-//                              {"dataset","dataset_version","rows",
-//                               "appended","session"}
-//   GET    /v1/sessions        all live sessions (id, dataset, drill state)
-//   POST   /v1/sessions        open a per-client session over a named dataset:
-//                              {"dataset","committed"?,"options"?} -> the
-//                              session snapshot (a "committed" depth map
-//                              restores persisted drill state)
-//   GET    /v1/sessions/{id}   drill-state snapshot (persist / migration)
-//   DELETE /v1/sessions/{id}   close the session
-//   POST   /v1/datasets/{name}/snapshot
-//                              {"path": rel} — write the dataset (table,
-//                              hierarchies, cached f-trees, persistable
-//                              fitted models) as a binary snapshot under the
-//                              server's dataset root (api/dataset_snapshot.h).
-//                              Mutating-route auth applies; disabled without
-//                              a configured --dataset-root
-//   POST   /v1/recommend       {"session"|"dataset","complaint",{"options"}}
-//   POST   /v1/recommend_batch {"session"|"dataset","complaints":[...],"options"}
-//   POST   /v1/view            {"session"|"dataset","group_by":[...],...}
-//   POST   /v1/commit          {"session"|"dataset","hierarchy"}
-//
-// POST /v1/datasets also accepts {"name","snapshot": rel} — registering a
-// dataset from a snapshot file (same root confinement as "path"): the schema
-// rides in the file, the caches come up pre-warmed, and the first recommend
-// is byte-identical to the process that wrote the snapshot.
+// Routes: ReptileService::Routes() in service.cpp is the one table of them —
+// method, path pattern, whether the bearer token gates it, whether it takes
+// a streamed text/csv body, and the handler. The dispatcher, the 404/405
+// answers (with their Allow header), the auth check and StartStreamingBody()
+// all read that table. README.md's "Serving Reptile over HTTP" section
+// documents each request and response.
 //
 // Dataset/session split: every dataset is prepared once (table, hierarchies,
 // f-trees, shared aggregate cache) and all sessions over it — created and
 // destroyed freely at runtime — share that immutable state; a session owns
 // only its drill depths. Two analysts exploring one dataset no longer share
-// drill state (the PR 3 follow-on), yet still share every cached aggregate.
+// drill state, yet still share every cached aggregate.
 //
-// Deprecated alias: the PR 3 request form {"dataset": name, ...} routes to
-// the dataset's DEFAULT session (opened when the dataset is registered) and
-// returns byte-identical bodies to the old named-session server, so existing
-// clients keep working unchanged. New clients create their own session and
-// pass {"session": id, ...}.
+// Deprecated alias: the request form {"dataset": name, ...} routes to the
+// dataset's DEFAULT session (opened when the dataset is registered). New
+// clients create their own session and pass {"session": id, ...}.
 //
 // Idle TTL: a non-default session untouched for session_ttl_seconds is
 // evicted on the next session-table access (no background thread; the table
@@ -108,21 +38,24 @@
 // Unknown routes are 404, known routes with the wrong method 405 (with an
 // Allow header); request-framing failures (oversized body 413, oversized
 // headers 431, malformed syntax 400) are produced by the HTTP layer below.
-//
 // Request mapping is strict: unknown or wrong-typed fields are rejected as
 // kInvalidArgument naming the field, and malformed JSON is a kParseError
 // carrying the parser's byte offset.
 //
-// Auth: when ServiceOptions::auth_token is set, MUTATING routes (dataset
-// create/delete, session create/delete, commit) require
+// Auth: when ServiceOptions::auth_token is set, the routes the table marks
+// gated — every write (dataset create, delete, snapshot and row append;
+// session create and delete; commit) and GET /v1/debug/requests — require
 // "Authorization: Bearer <token>"; failures get the standard envelope with
-// code UNAUTHENTICATED and HTTP 401. /healthz and read-only routes stay
-// open so probes and dashboards need no credentials.
+// code UNAUTHENTICATED and HTTP 401. /healthz, /metricsz and the other reads
+// stay open so probes and dashboards need no credentials.
 //
-// Concurrency: Handle() is thread-safe, and — unlike PR 3's
-// register-before-serving contract — so is every mutator: the session table
-// sits behind a shared_mutex (lookups take the shared lock; create / delete
-// / TTL eviction take the exclusive lock), the registry is internally
+// Metrics: every number the server reports is one series on the service's
+// MetricsRegistry (metrics()). /metricsz renders it as Prometheus text and
+// /healthz embeds it as JSON under "metrics", beside the version chains.
+//
+// Concurrency: Handle() is thread-safe, and so is every mutator: the session
+// table sits behind a shared_mutex (lookups take the shared lock; create /
+// delete / TTL eviction take the exclusive lock), the registry is internally
 // synchronized, and entries are shared_ptr so a session evicted or deleted
 // mid-request finishes its in-flight call safely. Each session serializes
 // its calls behind a per-session mutex — a Session is not thread-safe, and
@@ -140,6 +73,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -196,7 +130,7 @@ struct ServiceOptions {
   // Injectable so tests drive eviction deterministically.
   std::function<std::chrono::steady_clock::time_point()> clock;
 
-  // Bearer token required on mutating routes (see the header comment) when
+  // Bearer token required on the gated routes (see the header comment) when
   // non-empty. Empty (the default) disables the check entirely.
   std::string auth_token;
 
@@ -207,10 +141,6 @@ struct ServiceOptions {
   // concatenates to exactly ToJson(). SIZE_MAX (the default) disables
   // streaming, so existing clients see unchanged framing.
   size_t stream_threshold_bytes = SIZE_MAX;
-
-  // When set, /healthz gains ,"transport":<hook's JSON> — the serving binary
-  // wires the front end's counters (e.g. ReactorServer::StatsJson) in here.
-  std::function<std::string()> transport_stats_json;
 
   // Capacity of the in-memory ring of recent request trace records served
   // at GET /v1/debug/requests (trace id, route, status, stage spans). 0
@@ -286,24 +216,54 @@ class ReptileService {
   HttpResponse Handle(const HttpRequest& request);
 
   /// Streaming-upload hook for the front end
-  /// (ReactorServerOptions::stream_factory). Engages for two text/csv POSTs:
+  /// (ReactorServerOptions::stream_factory): returns a sink for a text/csv
+  /// body sent to a route that streams one, nullptr for every other request
+  /// (the front end buffers those normally). Two routes stream:
   ///
   /// POST /v1/datasets/{name}/rows — the body is the raw CSV of the appended
   /// rows (header line included); no query parameters are accepted (the
   /// dataset already defines the schema and separator). The chunks are
   /// accumulated and run through the same append path as the JSON form.
   ///
-  /// POST /v1/datasets — the body is raw CSV,
-  /// fed chunk by chunk through CsvStreamParser (never materialized), and
-  /// the dataset typing rides the query string, percent-decoded:
+  /// POST /v1/datasets — the body is raw CSV, fed chunk by chunk through
+  /// CsvStreamParser (never materialized), and the dataset typing rides the
+  /// query string, percent-decoded:
   ///   name=NAME&dimensions=a,b[&measures=x,y][&hierarchy=geo:country,city]
   ///   [&hierarchy=...][&commits=geo,time][&separator=%09]
   /// ("hierarchy" repeats, one per hierarchy, attributes comma-separated.)
-  /// Returns nullptr for every other request — the front end buffers those
-  /// normally. Auth/metadata failures still return a sink: one that rejects
-  /// the first body chunk and reports the error, so the client gets the
-  /// standard envelope without the server consuming the upload.
+  ///
+  /// Auth/metadata failures still return a sink: one that rejects the first
+  /// body chunk and reports the error, so the client gets the standard
+  /// envelope without the server consuming the upload.
   std::unique_ptr<HttpBodySink> StartStreamingBody(const HttpRequest& head);
+
+  /// What a route handler gets: the request, the path's "{...}" segment (a
+  /// dataset name or session id; empty for fixed paths) and the trace.
+  struct RouteArgs {
+    const HttpRequest& request;
+    std::string param;
+    TraceContext* trace;
+  };
+
+  /// One row of the route table. A "{...}" in `pattern` matches one
+  /// non-empty name or id (the rest of the path when nothing follows it).
+  struct Route {
+    const char* method;
+    const char* pattern;
+    bool gated;  // requires the bearer token when auth_token is set
+    bool (*enabled)(const ServiceOptions&);  // nullptr: always served
+    // Non-null when the route takes a streamed text/csv body: the sink.
+    std::unique_ptr<HttpBodySink> (ReptileService::*stream_csv)(const RouteArgs&);
+    HttpResponse (ReptileService::*handle)(const RouteArgs&);
+  };
+
+  /// Every route, in match order: a path belongs to the first pattern it
+  /// matches, and that pattern's rows list the methods it accepts.
+  static std::span<const Route> Routes();
+
+  /// The service's metrics: every number /metricsz and /healthz report.
+  /// Register the front end's counters here (ReactorServer::RegisterMetrics).
+  MetricsRegistry& metrics() { return *metrics_; }
 
   /// The single StatusCode -> HTTP status mapping (kOk -> 200).
   static int HttpStatusFor(StatusCode code);
@@ -376,9 +336,15 @@ class ReptileService {
   /// The session snapshot JSON (id, dataset, default flag, committed depths).
   std::string SessionSnapshotJson(SessionEntry& entry);
 
-  /// True when the request may proceed: auth is off, the route is
-  /// read-only, or the Authorization header carries the configured token.
-  bool CheckAuth(const HttpRequest& request) const;
+  /// The route serving `request` (filling `param`), or nullptr. When the
+  /// path matches a pattern but the method does not, `allow` (if given)
+  /// lists the methods the pattern accepts, as the 405's Allow header.
+  const Route* MatchRoute(const HttpRequest& request, std::string* param,
+                          std::string* allow) const;
+
+  /// True when `request` may use `route`: the route is open, auth is off, or
+  /// the Authorization header carries the configured token.
+  bool CheckAuth(const Route& route, const HttpRequest& request) const;
 
   /// AddDataset / AddPreparedDataset's shared tail: applies the cache
   /// budget, opens + commits the default session, and publishes the registry
@@ -407,28 +373,29 @@ class ReptileService {
   /// The routing chain proper (Handle() without the observability wrapper).
   HttpResponse HandleInternal(const HttpRequest& request, TraceContext* trace);
 
-  /// Sums both shared caches' counters over every live dataset (gauge
-  /// semantics: a deleted dataset drops its contribution) — the one
-  /// collection point behind /healthz and /metricsz.
-  struct CacheTotals;
-  CacheTotals CollectCacheTotals() const;
+  /// Registers every scrape-time series (dataset, session, cache, version
+  /// and pool numbers) on metrics_.
+  void RegisterSeries();
 
-  HttpResponse HandleHealthz();
-  HttpResponse HandleMetricsz();
-  HttpResponse HandleDebugRequests();
-  HttpResponse HandleDatasetList();
-  HttpResponse HandleDatasetCreate(const std::string& body);
-  HttpResponse HandleDatasetDelete(const std::string& name);
-  HttpResponse HandleDatasetAppend(const std::string& name, const std::string& body);
-  HttpResponse HandleDatasetSnapshot(const std::string& name, const std::string& body);
-  HttpResponse HandleSessionList();
-  HttpResponse HandleSessionCreate(const std::string& body);
-  HttpResponse HandleSessionGet(const std::string& id);
-  HttpResponse HandleSessionDelete(const std::string& id);
-  HttpResponse HandleRecommend(const std::string& body, bool batch, TraceContext* trace);
-  HttpResponse HandleView(const std::string& body);
-  HttpResponse HandleCommit(const std::string& body);
-  HttpResponse HandleDebugStatus(const std::string& body);
+  // Route handlers (see Routes()).
+  HttpResponse HandleHealthz(const RouteArgs& args);
+  HttpResponse HandleMetricsz(const RouteArgs& args);
+  HttpResponse HandleDebugRequests(const RouteArgs& args);
+  HttpResponse HandleDatasetList(const RouteArgs& args);
+  HttpResponse HandleDatasetCreate(const RouteArgs& args);
+  HttpResponse HandleDatasetDelete(const RouteArgs& args);
+  HttpResponse HandleDatasetAppend(const RouteArgs& args);
+  HttpResponse HandleDatasetSnapshot(const RouteArgs& args);
+  HttpResponse HandleSessionList(const RouteArgs& args);
+  HttpResponse HandleSessionCreate(const RouteArgs& args);
+  HttpResponse HandleSessionGet(const RouteArgs& args);
+  HttpResponse HandleSessionDelete(const RouteArgs& args);
+  HttpResponse HandleRecommend(const RouteArgs& args);  // and recommend_batch
+  HttpResponse HandleView(const RouteArgs& args);
+  HttpResponse HandleCommit(const RouteArgs& args);
+  HttpResponse HandleDebugStatus(const RouteArgs& args);
+  std::unique_ptr<HttpBodySink> StreamDatasetCreate(const RouteArgs& args);
+  std::unique_ptr<HttpBodySink> StreamDatasetAppend(const RouteArgs& args);
 
   ServiceOptions options_;
   std::shared_ptr<DatasetRegistry> registry_;
@@ -452,9 +419,8 @@ class ReptileService {
 
   // Observability state. The registry is per-service (two services in one
   // process — e.g. the differential test stacks — must not share request
-  // series); genuinely process-wide series live on MetricsRegistry::Global().
-  // Series pointers are cached at construction so the per-request path never
-  // takes the registry mutex.
+  // series). Series pointers are cached at construction so the per-request
+  // path never takes the registry mutex.
   const std::chrono::steady_clock::time_point start_time_;
   std::unique_ptr<MetricsRegistry> metrics_;
   Histogram* request_latency_ = nullptr;           // reptile_http_request_duration_seconds
@@ -462,6 +428,11 @@ class ReptileService {
   std::map<std::string, Histogram*> stage_latency_;  // ..._stage_duration_seconds{stage=...}
   std::unique_ptr<RequestRing> request_ring_;      // null unless opted in
 };
+
+/// "a,b,c" -> {a, b, c}; empty segments and an empty input yield nothing.
+/// The comma lists of the streamed upload's query string and of
+/// reptile_serve's --dimensions, --measures and --hierarchy flags.
+std::vector<std::string> SplitCommaList(const std::string& value);
 
 }  // namespace reptile
 

@@ -2,8 +2,9 @@
 // HttpClient deadlines against a stalled server (kDeadlineExceeded, distinct
 // from kIoError), token-bucket 429s with Retry-After (with /healthz and
 // /metricsz exempt), per-request queue-deadline 503 shedding (the
-// connection survives), the kDeadlineExceeded -> 504 wire mapping, and the
-// /metricsz export of the new transport counters.
+// connection survives; /healthz and /metricsz are never shed), the
+// kDeadlineExceeded -> 504 wire mapping, and the /metricsz export of the
+// transport counters.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -18,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "net/reactor_server.h"
@@ -210,25 +212,40 @@ TEST(AdmissionTest, QueueDeadlineShedsBehindABusyWorker) {
   });
   gate.WaitUntilHeld();
 
-  // The victim is dispatched while /slow holds the worker; once it has
-  // queued for well over the deadline, /slow lets the worker go.
+  // The victim and both monitoring probes are dispatched while /slow holds
+  // the worker; once they have queued for well over the deadline, /slow lets
+  // the worker go. Only the victim is shed: a probe refused under overload
+  // would hide the overload itself.
   const int64_t dispatched = server->requests_dispatched();
+  const int64_t shed_before = server->requests_shed();
   HttpClient victim("127.0.0.1", server->port());
   Result<HttpClientResponse> shed = Status::Internal("victim never answered");
   std::thread victim_thread([&victim, &shed] { shed = victim.Get("/fast"); });
-  while (server->requests_dispatched() < dispatched + 1) {
+  std::vector<Result<HttpClientResponse>> probes(2, Status::Internal("probe never answered"));
+  std::vector<std::thread> probe_threads;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    probe_threads.emplace_back([&server, &probes, i] {
+      probes[i] = HttpClient("127.0.0.1", server->port()).Get(i == 0 ? "/healthz" : "/metricsz");
+    });
+  }
+  while (server->requests_dispatched() < dispatched + 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   gate.Release();
   victim_thread.join();
+  for (std::thread& t : probe_threads) t.join();
   slow.join();
 
   ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   EXPECT_EQ(shed->status, 503);
   EXPECT_NE(shed->body.find("\"code\":\"OVERLOADED\""), std::string::npos)
       << shed->body;
-  EXPECT_GE(server->requests_shed(), 1);
+  for (const Result<HttpClientResponse>& probe : probes) {
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    EXPECT_EQ(probe->status, 200) << probe->body;
+  }
+  EXPECT_EQ(server->requests_shed(), shed_before + 1);
   EXPECT_EQ(server->requests_rate_limited(), 0);
 
   // With the worker idle again the same client is served normally, on the
@@ -268,27 +285,23 @@ TEST(AdmissionTest, DeadlineExceededMapsTo504OnTheWire) {
 }
 
 TEST(AdmissionTest, MetricszExportsRateLimitAndShedCounters) {
-  // The serve_main wiring in miniature: the service's /metricsz pulls the
-  // front end's StatsJson through the transport hook, so the new counters
-  // surface as reptile_transport_* gauges.
-  std::function<std::string()> transport_stats;
-  ServiceOptions service_options;
-  service_options.transport_stats_json = [&transport_stats] {
-    return transport_stats ? transport_stats() : std::string("null");
-  };
-  ReptileService service(std::move(service_options));
+  // The serve_main wiring in miniature: the front end registers its
+  // counters on the service's registry, so they surface on /metricsz as
+  // reptile_transport_* gauges. The server is declared first so that the
+  // service, whose registry reads it, is destroyed first.
+  std::unique_ptr<ReactorServer> server;
+  ReptileService service;
 
   ReactorServerOptions server_options;
   server_options.num_threads = 2;
   server_options.rate_limit_rps = 0.0001;
   server_options.rate_limit_burst = 1.0;
-  ReactorServer server(server_options, [&service](const HttpRequest& request) {
-    return service.Handle(request);
-  });
-  transport_stats = [&server] { return server.StatsJson(); };
-  ASSERT_TRUE(server.Start().ok());
+  server = std::make_unique<ReactorServer>(
+      server_options, [&service](const HttpRequest& request) { return service.Handle(request); });
+  server->RegisterMetrics(&service.metrics());
+  ASSERT_TRUE(server->Start().ok());
 
-  HttpClient client("127.0.0.1", server.port());
+  HttpClient client("127.0.0.1", server->port());
   Result<HttpClientResponse> admitted = client.Post("/api/op", "{}");
   ASSERT_TRUE(admitted.ok());
   Result<HttpClientResponse> limited = client.Post("/api/op", "{}");
@@ -296,7 +309,7 @@ TEST(AdmissionTest, MetricszExportsRateLimitAndShedCounters) {
   EXPECT_EQ(limited->status, 429);
 
   Result<HttpClientResponse> metrics = client.Get("/metricsz");
-  server.Stop();
+  server->Stop();
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->status, 200);
   EXPECT_NE(metrics->body.find("reptile_transport_requests_rate_limited 1"),

@@ -20,10 +20,14 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/csv.h"
@@ -34,6 +38,7 @@
 #include "server/http_client.h"
 #include "server/json.h"
 #include "server/service.h"
+#include "test_util.h"
 
 namespace reptile {
 namespace {
@@ -80,7 +85,9 @@ const char kUploadCsv[] =
     "d1,y0,5\nd1,y0,3\nd1,y1,2\nd1,y1,6\n"
     "d2,y0,4\nd2,y0,2\nd2,y1,5\nd2,y1,1\n";
 
-// One service behind the reactor front end.
+// One service behind the reactor front end. The server is declared first and
+// stopped explicitly, so that the service — whose registry reads the
+// server's counters once WireTransport() ran — is destroyed before it.
 struct Stack {
   explicit Stack(ServiceOptions service_options = ServiceOptions())
       : service(std::move(service_options)) {
@@ -97,9 +104,13 @@ struct Stack {
     EXPECT_TRUE(server->Start().ok());
     port = server->port();
   }
+  ~Stack() { server->Stop(); }
 
-  ReptileService service;
+  /// Registers the front end's counters on the service, as serve_main does.
+  void WireTransport() { server->RegisterMetrics(&service.metrics()); }
+
   std::unique_ptr<ReactorServer> server;
+  ReptileService service;
   int port = 0;
 };
 
@@ -205,27 +216,21 @@ struct WireCall {
   std::string content_type = "application/json";
 };
 
-// /healthz carries fields that are volatile across two independently
-// constructed service instances — uptime_seconds can straddle a second
-// boundary and the per-service "metrics" object accumulates real latencies —
-// so scrub exactly those two before byte-comparing; every other healthz byte
-// stays pinned.
+// /healthz values that differ between two independently constructed service
+// instances by nature: uptime can straddle a second boundary, the latency
+// histograms hold real durations, and the shared pool's depth is an
+// instantaneous reading of a process-wide pool. Scrub exactly those; every
+// other byte, every counter and gauge included, stays compared.
 std::string NormalizeHealthz(const std::string& body) {
   std::string out = body;
-  constexpr std::string_view kUptime = "\"uptime_seconds\":";
-  size_t pos = out.find(kUptime);
-  if (pos != std::string::npos) {
-    size_t begin = pos + kUptime.size();
-    size_t end = begin;
-    while (end < out.size() && out[end] >= '0' && out[end] <= '9') ++end;
-    out.replace(begin, end - begin, "0");
-  }
-  constexpr std::string_view kMetrics = "\"metrics\":";
-  pos = out.find(kMetrics);
-  if (pos != std::string::npos && pos + kMetrics.size() < out.size() &&
-      out[pos + kMetrics.size()] == '{') {
-    // String-aware brace matching: histogram help text could hold braces.
-    size_t begin = pos + kMetrics.size();
+  for (std::string_view key :
+       {"\"uptime_seconds\":", "\"reptile_http_request_duration_seconds\":",
+        "\"reptile_request_stage_duration_seconds\":", "\"reptile_shared_pool_queue_depth\":"}) {
+    size_t begin = out.find(key);
+    if (begin == std::string::npos) continue;
+    begin += key.size();
+    // The value ends at the first ',' or closing bracket outside it
+    // (string-aware: help text or labels could hold brackets).
     size_t end = begin;
     int depth = 0;
     bool in_string = false, escaped = false;
@@ -237,13 +242,14 @@ std::string NormalizeHealthz(const std::string& body) {
         else if (c == '"') in_string = false;
       } else if (c == '"') {
         in_string = true;
-      } else if (c == '{') {
+      } else if (c == '[' || c == '{') {
         ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) { ++end; break; }
+      } else if (c == ']' || c == '}' || c == ',') {
+        if (depth == 0) break;
+        if (c != ',') --depth;
       }
     }
-    out.replace(begin, end - begin, "{}");
+    out.replace(begin, end - begin, "0");
   }
   return out;
 }
@@ -403,15 +409,10 @@ TEST(NetDifferentialTest, MetricszServesHistogramsAndTransportGauges) {
     ASSERT_NE(metrics->FindHeader("x-request-id"), nullptr);
     EXPECT_FALSE(metrics->FindHeader("x-request-id")->empty());
   }
-  // With the transport hook wired (as serve_main does), the front end's
-  // counters are re-exported as reptile_transport_* gauges.
-  auto transport = std::make_shared<std::function<std::string()>>();
-  ServiceOptions with_transport;
-  with_transport.transport_stats_json = [transport] {
-    return *transport ? (*transport)() : std::string("null");
-  };
-  Stack wired(std::move(with_transport));
-  *transport = [&wired] { return wired.server->StatsJson(); };
+  // With the front end's counters registered on the service (as serve_main
+  // does), they are served as reptile_transport_* gauges.
+  Stack wired;
+  wired.WireTransport();
   HttpClient client2("127.0.0.1", wired.port);
   ASSERT_TRUE(client2.Get("/healthz").ok());
   Result<HttpClientResponse> metrics2 = client2.Get("/metricsz");
@@ -419,6 +420,92 @@ TEST(NetDifferentialTest, MetricszServesHistogramsAndTransportGauges) {
   EXPECT_NE(metrics2->body.find("reptile_transport_requests_dispatched"),
             std::string::npos)
       << metrics2->body.substr(0, 2000);
+}
+
+// The (family, TYPE) pairs of a Prometheus text exposition.
+std::set<std::pair<std::string, std::string>> PromFamilies(const std::string& text) {
+  std::set<std::pair<std::string, std::string>> families;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    constexpr std::string_view kType = "# TYPE ";
+    if (line.rfind(kType, 0) != 0) continue;
+    const size_t space = line.find(' ', kType.size());
+    families.emplace(line.substr(kType.size(), space - kType.size()), line.substr(space + 1));
+  }
+  return families;
+}
+
+// Every number the server reports is one series on the service's registry.
+// With the front end wired as serve_main wires it, /metricsz serves exactly
+// these families — the names perfbench scrapes among them.
+TEST(NetMetricsTest, ServedFamiliesAndTypesArePinned) {
+  Stack stack;
+  stack.WireTransport();
+  Result<HttpClientResponse> metrics = HttpClient("127.0.0.1", stack.port).Get("/metricsz");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const std::set<std::pair<std::string, std::string>> expected = {
+      {"reptile_aggregate_cache_bytes", "gauge"},
+      {"reptile_aggregate_cache_entries", "gauge"},
+      {"reptile_aggregate_cache_evictions", "gauge"},
+      {"reptile_aggregate_cache_hits", "gauge"},
+      {"reptile_aggregate_cache_misses", "gauge"},
+      {"reptile_cache_invalidations_total", "counter"},
+      {"reptile_dataset_head_version", "gauge"},
+      {"reptile_dataset_versions", "gauge"},
+      {"reptile_datasets", "gauge"},
+      {"reptile_http_request_duration_seconds", "histogram"},
+      {"reptile_http_requests_total", "counter"},
+      {"reptile_model_cache_bytes", "gauge"},
+      {"reptile_model_cache_entries", "gauge"},
+      {"reptile_model_cache_evictions", "gauge"},
+      {"reptile_model_cache_fits", "gauge"},
+      {"reptile_model_cache_hits", "gauge"},
+      {"reptile_model_cache_misses", "gauge"},
+      {"reptile_request_stage_duration_seconds", "histogram"},
+      {"reptile_sessions", "gauge"},
+      {"reptile_sessions_evicted_total", "counter"},
+      {"reptile_shared_pool_queue_depth", "gauge"},
+      {"reptile_transport_backpressure_trips", "gauge"},
+      {"reptile_transport_connections_accepted", "gauge"},
+      {"reptile_transport_open_connections", "gauge"},
+      {"reptile_transport_overload_rejections", "gauge"},
+      {"reptile_transport_queued_bytes", "gauge"},
+      {"reptile_transport_requests_dispatched", "gauge"},
+      {"reptile_transport_requests_rate_limited", "gauge"},
+      {"reptile_transport_requests_shed", "gauge"},
+      {"reptile_transport_slow_client_disconnects", "gauge"},
+      {"reptile_versions_gc_total", "counter"},
+  };
+  EXPECT_EQ(PromFamilies(metrics->body), expected) << metrics->body;
+}
+
+// /healthz's "metrics" object is the same registry rendered as JSON: it holds
+// exactly the families /metricsz renders, with the same values.
+TEST(NetMetricsTest, HealthzEmbedsExactlyTheMetricszFamilies) {
+  Stack stack;
+  stack.WireTransport();
+  HttpClient client("127.0.0.1", stack.port);
+  Result<HttpClientResponse> health = client.Get("/healthz");
+  Result<HttpClientResponse> metrics = client.Get("/metricsz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  Result<JsonValue> parsed = ParseJson(health->body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* embedded = parsed->Find("metrics");
+  ASSERT_NE(embedded, nullptr);
+  std::set<std::string> healthz_families, metricsz_families;
+  for (const auto& [name, series] : embedded->object_items()) healthz_families.insert(name);
+  for (const auto& [name, type] : PromFamilies(metrics->body)) metricsz_families.insert(name);
+  EXPECT_EQ(healthz_families, metricsz_families);
+  EXPECT_EQ(healthz_families.size(), 31u);
+  for (const char* family : {"reptile_datasets", "reptile_sessions", "reptile_versions_gc_total",
+                             "reptile_transport_open_connections"}) {
+    EXPECT_NE(metrics->body.find("\n" + std::string(family) + " " +
+                                 std::to_string(testutil::HealthzMetric(health->body, family)) +
+                                 "\n"),
+              std::string::npos)
+        << family;
+  }
 }
 
 // A saturation sweep: 1, 4 and 16 concurrent keep-alive clients of 24
@@ -530,34 +617,56 @@ TEST(NetDifferentialTest, Http10ClientGetsIdentityBodyFromStreamingServer) {
 
 // ---- Auth ------------------------------------------------------------------
 
-TEST(NetAuthTest, BearerTokenGatesMutatingRoutesOnly) {
+// A concrete path for a route pattern: its "{...}" segment becomes `param`.
+std::string PathFor(std::string pattern, const std::string& param) {
+  const size_t open = pattern.find('{');
+  if (open != std::string::npos) pattern.replace(open, pattern.find('}') + 1 - open, param);
+  return pattern;
+}
+
+bool HasChallenge(const HttpResponse& response) {
+  for (const auto& [name, value] : response.extra_headers) {
+    if (name == "WWW-Authenticate" && value == "Bearer") return true;
+  }
+  return false;
+}
+
+// Every service option that enables a route is on, so the loops below see
+// the whole table.
+ServiceOptions EveryRouteOn(std::string auth_token) {
   ServiceOptions options;
-  options.auth_token = "tok-123";
-  ReptileService service(options);
+  options.auth_token = std::move(auth_token);
+  options.debug_request_ring = 4;
+  options.enable_debug_status_route = true;
+  return options;
+}
+
+TEST(NetAuthTest, BearerTokenGatesMutatingRoutesOnly) {
+  ReptileService service(EveryRouteOn("tok-123"));
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
 
   const std::string commit = R"({"dataset":"panel","hierarchy":"geo"})";
 
-  // Mutating routes without (or with a wrong) token: 401, standard envelope,
-  // WWW-Authenticate challenge.
-  for (const auto& [method, target] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"POST", "/v1/datasets"},
-           {"DELETE", "/v1/datasets/panel"},
-           {"POST", "/v1/datasets/panel/snapshot"},
-           {"POST", "/v1/sessions"},
-           {"DELETE", "/v1/sessions/s-1"},
-           {"POST", "/v1/commit"}}) {
-    HttpResponse denied = service.Handle(MakeRequest(method, target, "{}"));
-    EXPECT_EQ(denied.status, 401) << method << " " << target;
-    EXPECT_NE(denied.body.find("\"code\":\"UNAUTHENTICATED\""), std::string::npos);
-    EXPECT_NE(denied.body.find("\"http\":401"), std::string::npos);
-    bool has_challenge = false;
-    for (const auto& [name, value] : denied.extra_headers) {
-      if (name == "WWW-Authenticate") has_challenge = true;
+  // Every gated route of the table, without a token: 401, standard
+  // envelope, WWW-Authenticate challenge. No other route answers 401 (the
+  // gated ones are refused before they can change anything).
+  int gated = 0;
+  for (const ReptileService::Route& route : ReptileService::Routes()) {
+    const std::string target = PathFor(route.pattern, "panel");
+    HttpResponse response = service.Handle(MakeRequest(route.method, target, "{}"));
+    if (!route.gated) {
+      EXPECT_NE(response.status, 401) << route.method << " " << target;
+      continue;
     }
-    EXPECT_TRUE(has_challenge);
+    ++gated;
+    EXPECT_EQ(response.status, 401) << route.method << " " << target;
+    EXPECT_NE(response.body.find("\"code\":\"UNAUTHENTICATED\""), std::string::npos);
+    EXPECT_NE(response.body.find("\"http\":401"), std::string::npos);
+    EXPECT_TRUE(HasChallenge(response)) << route.method << " " << target;
   }
+  // Dataset create, delete, snapshot and row append; session create and
+  // delete; commit; the debug ring.
+  EXPECT_EQ(gated, 8);
   HttpResponse wrong = service.Handle(MakeRequest(
       "POST", "/v1/commit", commit, {{"authorization", "Bearer wrong"}}));
   EXPECT_EQ(wrong.status, 401);
@@ -589,13 +698,69 @@ TEST(NetAuthTest, BearerTokenGatesMutatingRoutesOnly) {
             200);
 
   // Streamed uploads are gated too: the sink rejects the body outright.
-  HttpRequest upload = MakeRequest(
-      "POST", "/v1/datasets?name=x&dimensions=d", std::string(),
-      {{"content-type", "text/csv"}});
-  std::unique_ptr<HttpBodySink> sink = service.StartStreamingBody(upload);
-  ASSERT_NE(sink, nullptr);
-  EXPECT_FALSE(sink->Append("d\n"));
-  EXPECT_EQ(sink->Finish(false).status, 401);
+  int streamed = 0;
+  for (const ReptileService::Route& route : ReptileService::Routes()) {
+    if (route.stream_csv == nullptr) continue;
+    ++streamed;
+    HttpRequest upload = MakeRequest(route.method, PathFor(route.pattern, "panel"),
+                                     std::string(), {{"content-type", "text/csv"}});
+    std::unique_ptr<HttpBodySink> sink = service.StartStreamingBody(upload);
+    ASSERT_NE(sink, nullptr) << route.pattern;
+    EXPECT_FALSE(sink->Append("d\n"));
+    HttpResponse denied = sink->Finish(false);
+    EXPECT_EQ(denied.status, 401) << route.pattern;
+    EXPECT_TRUE(HasChallenge(denied)) << route.pattern;
+  }
+  EXPECT_EQ(streamed, 2);  // dataset upload and row append
+}
+
+// Each route pattern sent a method it does not accept answers 405 with the
+// METHOD_NOT_ALLOWED envelope and an Allow header listing its methods — with
+// auth configured too, since a wrong method matches no gated route.
+TEST(NetAuthTest, WrongMethodGets405WithTheAllowList) {
+  ReptileService service(EveryRouteOn("tok-123"));
+  ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
+  const std::map<std::string, std::string> kAllow = {
+      {"/healthz", "GET"},
+      {"/metricsz", "GET"},
+      {"/v1/debug/requests", "GET"},
+      {"/v1/datasets", "GET, POST"},
+      {"/v1/datasets/{name}/snapshot", "POST"},
+      {"/v1/datasets/{name}/rows", "POST"},
+      {"/v1/datasets/{name}", "DELETE"},
+      {"/v1/sessions", "GET, POST"},
+      {"/v1/sessions/{id}", "GET, DELETE"},
+      {"/v1/recommend", "POST"},
+      {"/v1/recommend_batch", "POST"},
+      {"/v1/view", "POST"},
+      {"/v1/commit", "POST"},
+      {"/v1/_debug/status", "POST"},
+  };
+  std::set<std::string> patterns;
+  for (const ReptileService::Route& route : ReptileService::Routes()) {
+    patterns.insert(route.pattern);
+  }
+  ASSERT_EQ(patterns.size(), kAllow.size());
+  for (const std::string& pattern : patterns) {
+    auto allow = kAllow.find(pattern);
+    ASSERT_NE(allow, kAllow.end()) << pattern;
+    // PUT is no route's method; one the pattern lacks (DELETE or POST)
+    // must be refused the same way.
+    const std::string other = allow->second.find("DELETE") == std::string::npos ? "DELETE"
+                              : allow->second.find("POST") == std::string::npos ? "POST"
+                                                                                : "GET";
+    for (const std::string& method : {std::string("PUT"), other}) {
+      HttpResponse response =
+          service.Handle(MakeRequest(method, PathFor(pattern, "panel"), "{}"));
+      EXPECT_EQ(response.status, 405) << method << " " << pattern;
+      EXPECT_NE(response.body.find("\"code\":\"METHOD_NOT_ALLOWED\""), std::string::npos);
+      std::string header;
+      for (const auto& [name, value] : response.extra_headers) {
+        if (name == "Allow") header = value;
+      }
+      EXPECT_EQ(header, allow->second) << method << " " << pattern;
+    }
+  }
 }
 
 TEST(NetAuthTest, TokenlessServiceAcceptsEverything) {
@@ -1024,9 +1189,7 @@ TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarm) {
   auto model_fits = [](HttpClient& client) {
     Result<HttpClientResponse> health = client.Get("/healthz");
     EXPECT_TRUE(health.ok());
-    Result<JsonValue> parsed = ParseJson(health->body);
-    EXPECT_TRUE(parsed.ok());
-    return parsed->Find("model_cache")->Find("fits")->IntValue();
+    return testutil::HealthzMetric(health->body, "reptile_model_cache_fits");
   };
 
   ServiceOptions service_options;
@@ -1059,6 +1222,7 @@ TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarm) {
 
   // The restored dataset answers byte-identically with zero new fits.
   int64_t fits_before = model_fits(client);
+  EXPECT_GT(fits_before, 0);  // the panel's warm-up fits are on the sum
   Result<HttpClientResponse> replay =
       client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"restored")"));
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();

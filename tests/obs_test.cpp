@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/request_ring.h"
 #include "obs/trace.h"
+#include "server/service.h"
 
 namespace reptile {
 namespace {
@@ -162,8 +163,14 @@ TEST(ObsMetricsRegistry, PrometheusTextGolden) {
   requests->Increment(3);
   Gauge* depth = registry.GetGauge("test_queue_depth", "queue depth");
   depth->Set(7);
-  registry.RegisterCallbackGauge("test_cb_items", "sampled at render time", {},
-                                 [] { return int64_t{42}; });
+  registry.RegisterCallback("test_cb_items", "sampled at render time", MetricType::kGauge,
+                            [] { return int64_t{42}; });
+  registry.RegisterCallback("test_cb_total", "a counter kept elsewhere", MetricType::kCounter,
+                            [] { return int64_t{5}; });
+  registry.RegisterCallbackFamily("test_cb_per_name", "one sample per name",
+                                  MetricType::kGauge, "name", [] {
+                                    return LabelledSamples{{"b", 2}, {"a\"q", 1}};
+                                  });
   Histogram* latency = registry.GetHistogram("test_latency_seconds", "request latency");
   latency->Observe(0.0015);  // le="0.002"
   latency->Observe(0.003);   // le="0.005"
@@ -183,6 +190,14 @@ TEST(ObsMetricsRegistry, PrometheusTextGolden) {
   expected += "# HELP test_cb_items sampled at render time\n";
   expected += "# TYPE test_cb_items gauge\n";
   expected += "test_cb_items 42\n";
+  // A labelled callback family renders its samples in the order returned.
+  expected += "# HELP test_cb_per_name one sample per name\n";
+  expected += "# TYPE test_cb_per_name gauge\n";
+  expected += "test_cb_per_name{name=\"b\"} 2\n";
+  expected += "test_cb_per_name{name=\"a\\\"q\"} 1\n";
+  expected += "# HELP test_cb_total a counter kept elsewhere\n";
+  expected += "# TYPE test_cb_total counter\n";
+  expected += "test_cb_total 5\n";
   expected += "# HELP test_latency_seconds request latency\n";
   expected += "# TYPE test_latency_seconds histogram\n";
   for (int i = 0; i < 25; ++i) {
@@ -216,8 +231,11 @@ TEST(ObsMetricsRegistry, HistogramWithLabelsSplicesLeCorrectly) {
 TEST(ObsMetricsRegistry, LabelValuesAreEscaped) {
   MetricsRegistry registry;
   registry.GetCounter("esc_total", "esc", {{"path", "a\"b\\c"}})->Increment();
+  // Only backslash, quote and newline are escaped; a tab passes through.
+  registry.GetCounter("esc_total", "esc", {{"path", "t\tn\n"}})->Increment();
   const std::string text = registry.RenderPrometheus();
   EXPECT_NE(text.find("esc_total{path=\"a\\\"b\\\\c\"} 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("esc_total{path=\"t\tn\\n\"} 1\n"), std::string::npos) << text;
 }
 
 TEST(ObsMetricsRegistry, RenderJsonShape) {
@@ -231,14 +249,19 @@ TEST(ObsMetricsRegistry, RenderJsonShape) {
             "\"j_total\":[{\"labels\":{},\"value\":2}]}");
 }
 
+// The shared compute pool is process-wide, but its queue depth is one series
+// on every service's registry: any service's /metricsz carries it.
 TEST(ObsMetricsRegistry, GlobalCarriesTheSharedPoolGauge) {
-  EnsureProcessMetrics();
-  EnsureProcessMetrics();  // idempotent
-  const std::string text = MetricsRegistry::Global().RenderPrometheus();
+  ReptileService service;
+  HttpRequest request;
+  request.method = "GET";
+  request.target = request.path = "/metricsz";
+  request.http_version = "HTTP/1.1";
+  const std::string text = service.Handle(request).body;
   EXPECT_NE(text.find("# TYPE reptile_shared_pool_queue_depth gauge\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("reptile_shared_pool_queue_depth "), std::string::npos);
+  EXPECT_NE(text.find("\nreptile_shared_pool_queue_depth "), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "server/http_client.h"
 #include "server/json.h"
 #include "server/service.h"
+#include "test_util.h"
 
 namespace reptile {
 namespace {
@@ -162,18 +163,21 @@ TEST_F(ServerTest, Healthz) {
   Result<JsonValue> parsed = ParseJson(response->body);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Find("status")->string_value(), "ok");
-  EXPECT_EQ(parsed->Find("datasets")->IntValue(), 3);
-  EXPECT_EQ(parsed->Find("sessions")->IntValue(), 3);
-  EXPECT_EQ(parsed->Find("sessions_evicted")->IntValue(), 0);
+  // Every number is a series of the embedded "metrics" registry.
+  auto metric = [&](const char* family) {
+    return testutil::HealthzMetric(response->body, family);
+  };
+  EXPECT_EQ(metric("reptile_datasets"), 3);
+  EXPECT_EQ(metric("reptile_sessions"), 3);
+  EXPECT_EQ(metric("reptile_sessions_evicted_total"), 0);
   // Fresh fixture: no recommends have run, so both shared caches read zero.
-  const JsonValue* agg = parsed->Find("aggregate_cache");
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->Find("entries")->IntValue(), 0);
-  EXPECT_EQ(agg->Find("hits")->IntValue(), 0);
-  const JsonValue* model = parsed->Find("model_cache");
-  ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->Find("fits")->IntValue(), 0);
-  EXPECT_EQ(model->Find("evictions")->IntValue(), 0);
+  EXPECT_EQ(metric("reptile_aggregate_cache_entries"), 0);
+  EXPECT_EQ(metric("reptile_aggregate_cache_hits"), 0);
+  EXPECT_EQ(metric("reptile_model_cache_fits"), 0);
+  EXPECT_EQ(metric("reptile_model_cache_evictions"), 0);
+  // The version chains ride beside the metrics: one per dataset, at head 1.
+  ASSERT_NE(parsed->Find("versions"), nullptr);
+  EXPECT_EQ(parsed->Find("versions")->array_items().size(), 3u);
   // Process identity (satellite: uptime/build/pid).
   ASSERT_NE(parsed->Find("uptime_seconds"), nullptr);
   EXPECT_GE(parsed->Find("uptime_seconds")->IntValue(), 0);
@@ -559,8 +563,8 @@ TEST_F(ServerTest, DatasetUploadAndFullSessionLifecycle) {
   // The registry and the default session are live.
   Result<HttpClientResponse> health = client.Get("/healthz");
   ASSERT_TRUE(health.ok());
-  EXPECT_NE(health->body.find("\"datasets\":4,\"sessions\":4"), std::string::npos)
-      << health->body;
+  EXPECT_EQ(testutil::HealthzMetric(health->body, "reptile_datasets"), 4) << health->body;
+  EXPECT_EQ(testutil::HealthzMetric(health->body, "reptile_sessions"), 4) << health->body;
 
   // Create: a per-client session restoring the committed-depth map.
   Result<HttpClientResponse> created =
@@ -692,8 +696,8 @@ TEST_F(ServerTest, DatasetDeleteRemovesSessionsAndAlias) {
   ExpectError(client.Post("/v1/sessions", R"({"dataset":"fresh"})"), 404, "NOT_FOUND");
   Result<HttpClientResponse> health = client.Get("/healthz");
   ASSERT_TRUE(health.ok());
-  EXPECT_NE(health->body.find("\"datasets\":2,\"sessions\":2"), std::string::npos)
-      << health->body;
+  EXPECT_EQ(testutil::HealthzMetric(health->body, "reptile_datasets"), 2) << health->body;
+  EXPECT_EQ(testutil::HealthzMetric(health->body, "reptile_sessions"), 2) << health->body;
   // Unknown dataset -> 404; the name can be re-registered cleanly.
   Result<std::string> missing = Client().SendRaw(
       "DELETE /v1/datasets/fresh HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
@@ -1217,14 +1221,12 @@ TEST_F(ServerTest, WarmCacheResponsesByteIdenticalAndObservable) {
 
   Result<HttpClientResponse> health_after_cold = client.Get("/healthz");
   ASSERT_TRUE(health_after_cold.ok());
-  Result<JsonValue> cold_health = ParseJson(health_after_cold->body);
-  ASSERT_TRUE(cold_health.ok());
-  const JsonValue* model_cache = cold_health->Find("model_cache");
-  ASSERT_NE(model_cache, nullptr);
-  int64_t fits_after_cold = model_cache->Find("fits")->IntValue();
+  const std::string& cold_health = health_after_cold->body;
+  int64_t fits_after_cold = testutil::HealthzMetric(cold_health, "reptile_model_cache_fits");
   EXPECT_GT(fits_after_cold, 0);
-  EXPECT_EQ(model_cache->Find("entries")->IntValue(), fits_after_cold);
-  EXPECT_GT(cold_health->Find("aggregate_cache")->Find("entries")->IntValue(), 0);
+  EXPECT_EQ(testutil::HealthzMetric(cold_health, "reptile_model_cache_entries"),
+            fits_after_cold);
+  EXPECT_GT(testutil::HealthzMetric(cold_health, "reptile_aggregate_cache_entries"), 0);
 
   // Same request again: warm — zero new fits, hits instead, identical bytes.
   Result<HttpClientResponse> warm = client.Post("/v1/recommend_batch", body);
@@ -1233,11 +1235,9 @@ TEST_F(ServerTest, WarmCacheResponsesByteIdenticalAndObservable) {
 
   Result<HttpClientResponse> health_after_warm = client.Get("/healthz");
   ASSERT_TRUE(health_after_warm.ok());
-  Result<JsonValue> warm_health = ParseJson(health_after_warm->body);
-  ASSERT_TRUE(warm_health.ok());
-  const JsonValue* warm_model_cache = warm_health->Find("model_cache");
-  EXPECT_EQ(warm_model_cache->Find("fits")->IntValue(), fits_after_cold);
-  EXPECT_EQ(warm_model_cache->Find("hits")->IntValue(), fits_after_cold);
+  const std::string& warm_health = health_after_warm->body;
+  EXPECT_EQ(testutil::HealthzMetric(warm_health, "reptile_model_cache_fits"), fits_after_cold);
+  EXPECT_EQ(testutil::HealthzMetric(warm_health, "reptile_model_cache_hits"), fits_after_cold);
 
   // A per-client session over the same dataset is warm from its first call.
   Result<HttpClientResponse> created =
@@ -1258,9 +1258,8 @@ TEST_F(ServerTest, WarmCacheResponsesByteIdenticalAndObservable) {
   EXPECT_EQ(warm_session->body, cold->body);
   Result<HttpClientResponse> final_health = client.Get("/healthz");
   ASSERT_TRUE(final_health.ok());
-  Result<JsonValue> final_parsed = ParseJson(final_health->body);
-  ASSERT_TRUE(final_parsed.ok());
-  EXPECT_EQ(final_parsed->Find("model_cache")->Find("fits")->IntValue(), fits_after_cold);
+  EXPECT_EQ(testutil::HealthzMetric(final_health->body, "reptile_model_cache_fits"),
+            fits_after_cold);
 }
 
 // A session created with options.model runs that spec on every call.

@@ -1,16 +1,20 @@
 // Shared helpers for the reptile test suite: random factorised matrices with
-// feature columns, and naive reference implementations to compare against.
+// feature columns, naive reference implementations to compare against, and
+// a reader for the server's /healthz metrics.
 
 #ifndef REPTILE_TESTS_TEST_UTIL_H_
 #define REPTILE_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "factor/decomposed.h"
 #include "factor/frep.h"
 #include "factor/ftree.h"
+#include "server/json.h"
 
 namespace reptile {
 namespace testutil {
@@ -89,6 +93,17 @@ inline std::vector<double> RandomVector(Rng* rng, int64_t n) {
   std::vector<double> v(static_cast<size_t>(n));
   for (double& x : v) x = rng->Normal(0.0, 1.0);
   return v;
+}
+
+/// The value of the unlabelled counter or gauge `family` in a /healthz
+/// body's "metrics" object; -1 when the body does not parse or lacks it.
+inline int64_t HealthzMetric(const std::string& healthz, const std::string& family) {
+  Result<JsonValue> parsed = ParseJson(healthz);
+  const JsonValue* metrics = parsed.ok() ? parsed->Find("metrics") : nullptr;
+  const JsonValue* series = metrics != nullptr ? metrics->Find(family) : nullptr;
+  if (series == nullptr || !series->is_array() || series->array_items().size() != 1) return -1;
+  const JsonValue* value = series->array_items()[0].Find("value");
+  return value != nullptr && value->IsInteger() ? value->IntValue() : -1;
 }
 
 }  // namespace testutil
