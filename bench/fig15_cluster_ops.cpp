@@ -10,7 +10,6 @@
 
 #include <map>
 
-#include "baselines/naive_trainer.h"
 #include "benchmark/benchmark.h"
 #include "common/env.h"
 #include "common/rng.h"

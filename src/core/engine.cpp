@@ -44,6 +44,15 @@ std::optional<AttrId> FindDrilledAttr(const CandidateContext& ctx, int table_col
   return std::nullopt;
 }
 
+// Matrix row of every group in `layout`. The plan's trees were built from
+// the very table the groups come from, so every group's path is present.
+std::vector<int64_t> MatrixRowsOf(const FactorizedMatrix& layout, const CandidateContext& ctx,
+                                  const GroupByResult& groups) {
+  std::vector<int64_t> rows = GroupMatrixRows(layout, groups, ctx.tree_columns);
+  for (int64_t row : rows) REPTILE_CHECK_GE(row, 0) << "group missing from f-tree";
+  return rows;
+}
+
 // Primitive statistics one complaint needs: its own decomposition plus any
 // extra statistics frepair should restore (Appendix N). `extra_stats` is the
 // batch-effective list: the per-call override when given, else the engine
@@ -86,10 +95,14 @@ struct Engine::CandidatePlan {
   FactorizedMatrix layout;  // reference matrix for layout queries
   double build_seconds = 0.0;
 
-  // Per measure column (-1 = COUNT only): y moments over all parallel groups
-  // and the non-empty groups for featurization.
-  std::map<int, std::vector<Moments>> y_moments;
-  std::map<int, GroupByResult> groups;
+  // Per measure column (-1 = COUNT only): the table's non-empty groups over
+  // the plan's key columns and each group's matrix row in `layout` — the one
+  // statistics pass that both y (every primitive) and featurization read.
+  struct MeasureGroups {
+    GroupByResult groups;
+    std::vector<int64_t> rows;  // aligned with groups
+  };
+  std::map<int, MeasureGroups> stats;
 
   // Trained models: (measure column, primitive) -> fit. shared_ptr because
   // an entry may be owned by the process-shared fitted-model cache (and so
@@ -321,35 +334,28 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   const int64_t trained_before = stats_.models_trained;
   const int64_t cache_hits_before = stats_.fit_cache_hits;
 
-  // --- Execute stage (a): group statistics, one task per (plan, measure,
-  // moments-or-groups). Map slots are inserted sequentially here; the tasks
-  // only assign into their own pre-inserted slot. ---
+  // --- Execute stage (a): group statistics, one task per (plan, measure):
+  // one GroupBy over the whole table plus each group's matrix row. Map slots
+  // are inserted sequentially here; the tasks only assign into their own
+  // pre-inserted slot. ---
   struct StatTask {
     CandidatePlan* plan;
     int measure_column;
-    bool moments;  // true: y moments over all rows; false: non-empty group-by
   };
   std::vector<StatTask> stat_tasks;
   for (std::unique_ptr<CandidatePlan>& plan : plans) {
     for (const Complaint& complaint : complaints) {
       int measure = complaint.measure_column;
-      if (plan->y_moments.find(measure) != plan->y_moments.end()) continue;
-      plan->y_moments.emplace(measure, std::vector<Moments>());
-      plan->groups.emplace(measure, GroupByResult());
-      stat_tasks.push_back(StatTask{plan.get(), measure, true});
-      stat_tasks.push_back(StatTask{plan.get(), measure, false});
+      if (plan->stats.emplace(measure, CandidatePlan::MeasureGroups()).second) {
+        stat_tasks.push_back(StatTask{plan.get(), measure});
+      }
     }
   }
   ParallelFor(pool, static_cast<int64_t>(stat_tasks.size()), [&](int64_t i) {
     const StatTask& task = stat_tasks[static_cast<size_t>(i)];
-    if (task.moments) {
-      task.plan->y_moments.find(task.measure_column)->second =
-          BuildGroupMoments(task.plan->layout, dataset_->table(), task.plan->ctx.tree_columns,
-                            task.measure_column);
-    } else {
-      task.plan->groups.find(task.measure_column)->second =
-          GroupBy(dataset_->table(), task.plan->ctx.key_columns, task.measure_column);
-    }
+    CandidatePlan::MeasureGroups& slot = task.plan->stats.find(task.measure_column)->second;
+    slot.groups = GroupBy(dataset_->table(), task.plan->ctx.key_columns, task.measure_column);
+    slot.rows = MatrixRowsOf(task.plan->layout, task.plan->ctx, slot.groups);
   });
 
   // --- Execute stage (b): model fits, one task per distinct (plan, measure,
@@ -427,12 +433,20 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
     task.plan->fits.find(std::make_pair(task.measure_column, task.primitive))->second =
         std::move(outcome.model);
   }
+  const size_t table_rows = dataset_->table().num_rows();
   if (trace != nullptr) {
     // The span covers group statistics + fits + install; its detail is the
-    // cache outcome the warm-vs-cold benchmarks care about.
+    // cache outcome the warm-vs-cold benchmarks care about, plus the work
+    // of the statistics pass: table rows read and non-empty groups made.
+    size_t stat_groups = 0;
+    for (const StatTask& task : stat_tasks) {
+      stat_groups += task.plan->stats.at(task.measure_column).groups.num_groups();
+    }
     trace->AddSpan("fit", fit_start, trace->ElapsedSeconds() - fit_start,
                    "hits=" + std::to_string(stats_.fit_cache_hits - cache_hits_before) +
-                       " misses=" + std::to_string(stats_.models_trained - trained_before));
+                       " misses=" + std::to_string(stats_.models_trained - trained_before) +
+                       " rows=" + std::to_string(table_rows * stat_tasks.size()) +
+                       " groups=" + std::to_string(stat_groups));
   }
   const double rank_start = trace != nullptr ? trace->ElapsedSeconds() : 0.0;
 
@@ -466,7 +480,9 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
     out.push_back(std::move(rec));
   }
   if (trace != nullptr) {
-    trace->AddSpan("rank", rank_start, trace->ElapsedSeconds() - rank_start);
+    // Each (complaint, plan) cell's sibling GroupBy reads every table row.
+    trace->AddSpan("rank", rank_start, trace->ElapsedSeconds() - rank_start,
+                   "rows=" + std::to_string(table_rows * cells.size()));
   }
   if (timing != nullptr) {
     timing->train_seconds = train_seconds_sum;
@@ -554,15 +570,13 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
   const CandidateContext& ctx = plan.ctx;
 
   // Group statistics for this measure, computed by the batch's statistics
-  // stage: y moments over all parallel groups (empty groups included — the
-  // worst case of Section 5.1.4) and the non-empty groups for featurization.
-  // Shared, read-only, across every primitive and concurrent fit.
-  auto moments_it = plan.y_moments.find(measure_column);
-  REPTILE_CHECK(moments_it != plan.y_moments.end());
-  const std::vector<Moments>& y_moments = moments_it->second;
-  auto groups_it = plan.groups.find(measure_column);
-  REPTILE_CHECK(groups_it != plan.groups.end());
-  const GroupByResult& groups = groups_it->second;
+  // stage: the non-empty groups (featurization reads them, y is built from
+  // them below) and their matrix rows. Shared, read-only, across every
+  // primitive and concurrent fit.
+  auto stats_it = plan.stats.find(measure_column);
+  REPTILE_CHECK(stats_it != plan.stats.end());
+  const GroupByResult& groups = stats_it->second.groups;
+  const std::vector<int64_t>& group_rows = stats_it->second.rows;
 
   FactorizedMatrix fm;
   for (const FTree* t : ctx.trees) fm.AddTree(t);
@@ -685,9 +699,14 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
     }
   }
 
-  // y vector for this primitive.
-  std::vector<double> y(y_moments.size());
-  for (size_t i = 0; i < y_moments.size(); ++i) y[i] = y_moments[i].Value(primitive);
+  // y for this primitive over all parallel groups (empty groups included —
+  // the worst case of Section 5.1.4). An empty group's moments are zero, and
+  // Moments::Value of zero moments is +0.0 for every primitive, so only the
+  // non-empty groups are written.
+  std::vector<double> y(static_cast<size_t>(fm.num_rows()), 0.0);
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    y[static_cast<size_t>(group_rows[g])] = groups.stats(g).Value(primitive);
+  }
 
   // Backend selection and training. The timer covers the model fit only
   // (matching the pre-batching train_seconds semantics); group statistics
@@ -721,18 +740,8 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
       fit.fitted = std::move(model.fitted);
       fit.em_iterations_run = model.iterations_run;
     } else {
-      Matrix x = MaterializeMatrix(fm);
-      std::vector<int64_t> begins;
-      {
-        // Cluster boundaries in row order.
-        begins.push_back(0);
-        for (int64_t row = 1; row < fm.num_rows(); ++row) {
-          if (fm.ClusterOfRow(row) != fm.ClusterOfRow(row - 1)) begins.push_back(row);
-        }
-        begins.push_back(fm.num_rows());
-      }
-      DenseEmBackend backend(&x, begins, z_cols);
-      MultiLevelModel model = TrainMultiLevel(&backend, y, em);
+      Matrix x;
+      MultiLevelModel model = TrainMultiLevelDense(fm, y, z_cols, em, &x);
       fit.fitted = std::move(model.fitted);
       fit.em_iterations_run = model.iterations_run;
     }
@@ -776,23 +785,7 @@ HierarchyRecommendation Engine::ExecuteComplaint(const CandidatePlan& plan,
   GroupByResult siblings =
       GroupBy(table, ctx.key_columns, complaint.measure_column, complaint.filter);
 
-  // Matrix row of each sibling group.
-  std::vector<int64_t> sibling_rows(siblings.num_groups());
-  {
-    std::vector<int64_t> leaves(ctx.trees.size(), 0);
-    for (size_t g = 0; g < siblings.num_groups(); ++g) {
-      const std::vector<int32_t>& key = siblings.key_tuple(g);
-      size_t offset = 0;
-      for (size_t k = 1; k < ctx.trees.size(); ++k) {
-        int depth = ctx.trees[k]->depth();
-        int64_t leaf = ctx.trees[k]->LeafIndex(key.data() + offset, depth);
-        REPTILE_CHECK_GE(leaf, 0) << "sibling group missing from f-tree";
-        leaves[k] = leaf;
-        offset += static_cast<size_t>(depth);
-      }
-      sibling_rows[g] = plan.layout.RowOfLeaves(leaves);
-    }
-  }
+  std::vector<int64_t> sibling_rows = MatrixRowsOf(plan.layout, ctx, siblings);
 
   // Per primitive statistic: fitted model values, trained by the batch's fit
   // stage and shared read-only by every complaint on this plan.

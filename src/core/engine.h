@@ -9,8 +9,10 @@
 //      attribute (candidate hierarchy last in the attribute order),
 //   2. recompute that hierarchy's local decomposed aggregates (multi-query
 //      plan) and update the others in O(1) via the drill-down cache,
-//   3. build the y vector over all parallel groups (empty groups included)
-//      and the feature columns for every primitive statistic the complaint
+//   3. group the table's rows once per measure (one GroupBy whose groups
+//      are placed at their matrix rows), then build from those groups the
+//      y vector over all parallel groups (empty groups read 0) and the
+//      feature columns for every primitive statistic the complaint
 //      decomposes into,
 //   4. fit one multi-level model per primitive via EM (factorised backend
 //      when all features are single-attribute, dense otherwise),
@@ -293,8 +295,10 @@ class Engine {
 
   /// Execute stage, model half: fits one primitive statistic over one
   /// measure column against the plan's shared context, the way `spec` says.
-  /// Const — reads the plan's group statistics, returns the fit; the caller
-  /// owns caching (per-invocation plan map and/or the shared model cache).
+  /// Const — reads the plan's group statistics (the measure's non-empty
+  /// groups and their matrix rows; y is zero except at those rows), returns
+  /// the fit; the caller owns caching (per-invocation plan map and/or the
+  /// shared model cache).
   FittedModel FitPrimitive(const CandidatePlan& plan, int measure_column, AggFn primitive,
                            const ModelSpec& spec) const;
 

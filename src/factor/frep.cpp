@@ -134,75 +134,38 @@ void FactorizedMatrix::FeatureRow(int64_t row, std::vector<double>* out) const {
   for (int c = 0; c < num_cols(); ++c) (*out)[c] = ColumnValue(c, codes);
 }
 
-std::vector<int64_t> MapTableRowsToMatrixRows(const FactorizedMatrix& fm, const Table& table,
-                                              const std::vector<std::vector<int>>& tree_columns,
-                                              const RowFilter& filter) {
+std::vector<int64_t> GroupMatrixRows(const FactorizedMatrix& fm, const GroupByResult& groups,
+                                     const std::vector<std::vector<int>>& tree_columns) {
   REPTILE_CHECK_EQ(static_cast<int>(tree_columns.size()), fm.num_trees());
-  for (int k = 0; k < fm.num_trees(); ++k) {
-    if (!tree_columns[k].empty()) {
-      REPTILE_CHECK_EQ(static_cast<int>(tree_columns[k].size()), fm.tree(k).depth());
-    }
-  }
-  std::vector<int64_t> result;
-  result.reserve(table.num_rows());
+  std::vector<int64_t> rows(groups.num_groups(), -1);
   std::vector<int64_t> leaves(fm.num_trees(), 0);
-  std::vector<int32_t> path;
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    if (!filter.empty() && !table.Matches(filter, row)) {
-      continue;
-    }
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    const int32_t* path = groups.key_tuple(g).data();
     bool found = true;
-    for (int k = 0; k < fm.num_trees(); ++k) {
-      if (tree_columns[k].empty()) {
-        leaves[k] = 0;  // intercept tree
-        continue;
-      }
-      path.resize(tree_columns[k].size());
-      for (size_t l = 0; l < tree_columns[k].size(); ++l) {
-        path[l] = table.dim_codes(tree_columns[k][l])[row];
-      }
-      int64_t leaf = fm.tree(k).LeafIndex(path.data(), static_cast<int>(path.size()));
-      if (leaf < 0) {
-        found = false;
-        break;
-      }
-      leaves[k] = leaf;
+    for (int k = 0; k < fm.num_trees() && found; ++k) {
+      const int width = static_cast<int>(tree_columns[k].size());
+      if (width == 0) continue;  // intercept tree: its one leaf, 0
+      leaves[k] = fm.tree(k).LeafIndex(path, width);
+      found = leaves[k] >= 0;
+      path += width;
     }
-    result.push_back(found ? fm.RowOfLeaves(leaves) : -1);
+    if (found) rows[g] = fm.RowOfLeaves(leaves);
   }
-  return result;
+  return rows;
 }
 
 std::vector<Moments> BuildGroupMoments(const FactorizedMatrix& fm, const Table& table,
                                        const std::vector<std::vector<int>>& tree_columns,
                                        int measure_column, const RowFilter& filter) {
+  std::vector<int> key_columns;
+  for (const std::vector<int>& columns : tree_columns) {
+    key_columns.insert(key_columns.end(), columns.begin(), columns.end());
+  }
+  GroupByResult groups = GroupBy(table, key_columns, measure_column, filter);
+  std::vector<int64_t> rows = GroupMatrixRows(fm, groups, tree_columns);
   std::vector<Moments> moments(static_cast<size_t>(fm.num_rows()));
-  const std::vector<double>* measures =
-      measure_column >= 0 ? &table.measure(measure_column) : nullptr;
-  std::vector<int64_t> leaves(fm.num_trees(), 0);
-  std::vector<int32_t> path;
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    if (!filter.empty() && !table.Matches(filter, row)) continue;
-    bool found = true;
-    for (int k = 0; k < fm.num_trees(); ++k) {
-      if (tree_columns[k].empty()) {
-        leaves[k] = 0;
-        continue;
-      }
-      path.resize(tree_columns[k].size());
-      for (size_t l = 0; l < tree_columns[k].size(); ++l) {
-        path[l] = table.dim_codes(tree_columns[k][l])[row];
-      }
-      int64_t leaf = fm.tree(k).LeafIndex(path.data(), static_cast<int>(path.size()));
-      if (leaf < 0) {
-        found = false;
-        break;
-      }
-      leaves[k] = leaf;
-    }
-    if (!found) continue;
-    double value = measures != nullptr ? (*measures)[row] : 0.0;
-    moments[static_cast<size_t>(fm.RowOfLeaves(leaves))].Observe(value);
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    if (rows[g] >= 0) moments[static_cast<size_t>(rows[g])] = groups.stats(g);
   }
   return moments;
 }

@@ -24,6 +24,7 @@
 
 #include "agg/aggregates.h"
 #include "common/hashing.h"
+#include "data/group_by.h"
 #include "data/hierarchy.h"
 #include "data/table.h"
 #include "factor/ftree.h"
@@ -139,17 +140,19 @@ class FactorizedMatrix {
   void RecomputeLayout();
 };
 
-/// Maps each row of `table` matching `filter` to its row index in `fm`.
-/// `tree_columns[k]` lists the table columns backing tree k's levels (empty
-/// for the intercept tree). Rows whose path is absent from a tree map to -1
-/// (possible only when the trees were built from different data).
-std::vector<int64_t> MapTableRowsToMatrixRows(const FactorizedMatrix& fm, const Table& table,
-                                              const std::vector<std::vector<int>>& tree_columns,
-                                              const RowFilter& filter = RowFilter());
+/// Matrix row in `fm` of each group of `groups`, whose key tuples hold the
+/// codes of `tree_columns`' columns in tree order. `tree_columns[k]` lists
+/// the table columns backing tree k's levels (empty for the intercept tree,
+/// which contributes no codes). A group whose path some tree lacks maps to
+/// -1 (possible only when the trees were built from different data).
+std::vector<int64_t> GroupMatrixRows(const FactorizedMatrix& fm, const GroupByResult& groups,
+                                     const std::vector<std::vector<int>>& tree_columns);
 
-/// Aggregates `measure_column` of `table` into one Moments sketch per matrix
-/// row (the y vector over all parallel groups; empty groups keep zero
-/// moments, the paper's worst case). Pass measure_column = -1 for counts.
+/// Aggregates `measure_column` of the rows of `table` matching `filter` into
+/// one Moments sketch per matrix row (the y vector over all parallel groups;
+/// empty groups keep zero moments, the paper's worst case): one GroupBy over
+/// the flattened `tree_columns`, each group placed at its GroupMatrixRows
+/// row, groups mapping to -1 skipped. Pass measure_column = -1 for counts.
 std::vector<Moments> BuildGroupMoments(const FactorizedMatrix& fm, const Table& table,
                                        const std::vector<std::vector<int>>& tree_columns,
                                        int measure_column,

@@ -88,6 +88,16 @@ bool ClusterIterator::Next() {
   return false;
 }
 
+std::vector<int64_t> ClusterBeginsOf(const FactorizedMatrix& fm) {
+  std::vector<int64_t> begins;
+  ClusterIterator it(fm);
+  for (bool ok = it.Start(); ok; ok = it.Next()) {
+    begins.push_back(it.row_begin());
+  }
+  begins.push_back(fm.num_rows());
+  return begins;
+}
+
 namespace {
 
 // Column classification and lookup tables shared by the per-cluster

@@ -66,6 +66,10 @@ class ClusterIterator {
   void RefreshTreeCodes(int tree, int from_level);
 };
 
+/// Cluster boundaries of the factorised matrix in row order (first row of
+/// each cluster plus the sentinel n) — the input DenseEmBackend expects.
+std::vector<int64_t> ClusterBeginsOf(const FactorizedMatrix& fm);
+
 /// Per-cluster outputs delivered to the visitor of ForEachClusterGram.
 struct ClusterData {
   int64_t cluster = 0;

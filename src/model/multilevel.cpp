@@ -7,6 +7,7 @@
 #include "fmatrix/cluster_ops.h"
 #include "fmatrix/gram.h"
 #include "fmatrix/left_mult.h"
+#include "fmatrix/materialize.h"
 #include "fmatrix/right_mult.h"
 #include "linalg/solve.h"
 
@@ -291,6 +292,15 @@ MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<doub
   for (size_t i = 0; i < rows; ++i) xb[i] += zb[i];
   model.fitted = std::move(xb);
   return model;
+}
+
+MultiLevelModel TrainMultiLevelDense(const FactorizedMatrix& fm, const std::vector<double>& y,
+                                     const std::vector<int>& z_cols,
+                                     const MultiLevelOptions& options, Matrix* x_storage) {
+  REPTILE_CHECK(x_storage != nullptr);
+  *x_storage = MaterializeMatrix(fm);
+  DenseEmBackend backend(x_storage, ClusterBeginsOf(fm), z_cols);
+  return TrainMultiLevel(&backend, y, options);
 }
 
 }  // namespace reptile

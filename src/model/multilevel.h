@@ -161,6 +161,14 @@ struct MultiLevelModel {
 MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<double>& y,
                                 const MultiLevelOptions& options = MultiLevelOptions());
 
+/// The dense fit (the Matlab/LAPACK-style baseline of Section 5.1.4):
+/// materialises X from `fm` into `x_storage`, which the backend borrows and
+/// callers may reuse for predictions, and runs TrainMultiLevel over a
+/// DenseEmBackend with `fm`'s clusters (ClusterBeginsOf).
+MultiLevelModel TrainMultiLevelDense(const FactorizedMatrix& fm, const std::vector<double>& y,
+                                     const std::vector<int>& z_cols,
+                                     const MultiLevelOptions& options, Matrix* x_storage);
+
 }  // namespace reptile
 
 #endif  // REPTILE_MODEL_MULTILEVEL_H_

@@ -2,7 +2,6 @@
 // Appendix K methodology: lower AIC = better model; DeltaAIC > 10 means
 // substantially better).
 
-#include "baselines/naive_trainer.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "model/linear.h"

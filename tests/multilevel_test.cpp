@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "baselines/naive_trainer.h"
 #include "common/hashing.h"
 #include "common/rng.h"
 #include "datagen/synthetic.h"

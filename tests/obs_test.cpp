@@ -13,12 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "datagen/panel_gen.h"
 #include "gtest/gtest.h"
 #include "obs/build_info.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/request_ring.h"
 #include "obs/trace.h"
+#include "reptile/reptile.h"
 #include "server/service.h"
 
 namespace reptile {
@@ -330,6 +332,42 @@ TEST(ObsTrace, ZeroDurationsZeroesEveryDur) {
   trace.set_zero_durations(true);
   EXPECT_EQ(ServerTimingHeader(trace, 2.5),
             "parse;dur=0.000, rank;desc=\"rows=10\";dur=0.000, total;dur=0.000");
+}
+
+// The engine's stage spans carry work counts: plans built, the fit stage's
+// cache outcome plus the rows and non-empty groups of its one statistics
+// pass per (plan, measure), and the rows the rank stage's sibling GroupBys
+// read. Server-Timing renders each detail as a quoted desc, so none may
+// hold a comma.
+TEST(ObsTrace, RecommendSpanDetailsCountTheWork) {
+  PanelSpec spec;
+  spec.districts = 4;
+  spec.villages_per_district = 3;
+  spec.years = 5;
+  spec.rows_per_group = 3;  // 4 x 3 x 5 x 3 = 180 rows
+  Result<Session> session = Session::Create(MakeSeverityPanel(spec));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const ComplaintSpec complaint = ComplaintSpec::TooHigh("std", "severity").Where("year", "y1");
+  auto details = [&] {
+    TraceContext trace("tid");
+    EXPECT_TRUE(session->Recommend(complaint, BatchOptions().WithTrace(&trace)).ok());
+    std::vector<std::string> out;
+    for (const TraceSpan& span : trace.Spans()) {
+      EXPECT_EQ(span.detail.find(','), std::string::npos) << span.detail;
+      out.push_back(span.name + ":" + span.detail);
+    }
+    return out;
+  };
+  // Two plans (geo at district, time at year), one measure: two passes of
+  // 180 rows making 4 + 5 groups; std fits count, mean and std per plan.
+  // Ranking groups the 180 rows once per (complaint, plan).
+  EXPECT_EQ(details(), (std::vector<std::string>{"validate:", "plan:plans=2",
+                                                 "fit:hits=0 misses=6 rows=360 groups=9",
+                                                 "rank:rows=360"}));
+  // Warm: every fit is a cache hit, and the statistics pass still runs.
+  EXPECT_EQ(details(), (std::vector<std::string>{"validate:", "plan:plans=2",
+                                                 "fit:hits=6 misses=0 rows=360 groups=9",
+                                                 "rank:rows=360"}));
 }
 
 // AddSpan is advertised thread-safe: hammer it and check nothing is lost.
