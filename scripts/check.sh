@@ -169,11 +169,14 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   trap - EXIT
   echo "--- server smoke passed"
 
-  echo "--- server smoke: a junk numeric flag value exits 2 with the usage text"
+  echo "--- server smoke: a junk numeric flag value or a removed flag exits 2 with the usage text"
   # A junk value must not be read as 0, which several flags define as
-  # "unlimited". The timeout catches a server that started anyway (exit
-  # 124, not 2).
-  for BAD in "--max-body-bytes abc" "--rate-limit-rps xyz"; do
+  # "unlimited". --stream-threshold and --high-water-bytes tuned chunked
+  # response streaming, which the server no longer has: a script that still
+  # passes them must fail at startup like any unknown flag. The timeout
+  # catches a server that started anyway (exit 124, not 2).
+  for BAD in "--max-body-bytes abc" "--rate-limit-rps xyz" \
+             "--stream-threshold 1" "--high-water-bytes 1"; do
     RC=0
     # shellcheck disable=SC2086
     timeout 10 "$BUILD_DIR/reptile_serve" --demo --port 0 $BAD \

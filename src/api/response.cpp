@@ -142,31 +142,6 @@ std::string BatchExploreResponse::ToJson() const {
   return os.str();
 }
 
-std::vector<std::string> BatchExploreResponse::ToJsonPieces() const {
-  // Must serialize exactly like ToJson() above — tests/server_test.cpp and
-  // the reactor differential suite compare the two byte-for-byte.
-  std::vector<std::string> pieces;
-  pieces.reserve(responses.size() + 2);
-  {
-    std::ostringstream os;
-    os << "{\"models_trained\":" << models_trained
-       << ",\"fit_cache_hits\":" << fit_cache_hits << ",\"train_seconds\":";
-    AppendJsonNumber(os, train_seconds);
-    os << ",\"wall_seconds\":";
-    AppendJsonNumber(os, wall_seconds);
-    os << ",\"responses\":[";
-    pieces.push_back(os.str());
-  }
-  for (size_t i = 0; i < responses.size(); ++i) {
-    std::ostringstream os;
-    if (i > 0) os << ',';
-    AppendExplore(os, responses[i]);
-    pieces.push_back(os.str());
-  }
-  pieces.push_back("]}");
-  return pieces;
-}
-
 std::string ViewResponse::ToJson() const {
   std::ostringstream os;
   os << "{\"group_by\":[";

@@ -100,13 +100,6 @@ struct BatchExploreResponse {
   double wall_seconds = 0.0;
 
   std::string ToJson() const;
-
-  /// The exact ToJson() bytes split at streaming-friendly boundaries: one
-  /// piece for the batch header, one per response (separator included), one
-  /// for the closing bracket. Concatenating the pieces reproduces ToJson()
-  /// byte-for-byte — the server's chunked recommend_batch path streams these
-  /// one at a time instead of joining them into a single string.
-  std::vector<std::string> ToJsonPieces() const;
 };
 
 /// One row of an aggregate view.

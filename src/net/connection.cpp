@@ -121,7 +121,6 @@ void Connection::AdvanceParser() {
         }
         return;  // need more bytes
       case HttpRequestParser::Phase::kHeadDone: {
-        http_version_ = parser_.request().http_version;
         keep_alive_ = RequestKeepsAlive(parser_.request());
         if (server_->stopping()) keep_alive_ = false;
         // This request's response will be the connection's Nth: at the limit
@@ -198,25 +197,8 @@ void Connection::OnHandlerResult(HttpResponse response, bool force_close) {
 }
 
 void Connection::QueueResponse(HttpResponse response) {
-  const bool chunked =
-      static_cast<bool>(response.body_stream) && http_version_ == "HTTP/1.1";
-  if (response.body_stream && !chunked) {
-    // HTTP/1.0 peer: no chunked framing — accumulate the stream into an
-    // identity body (same bytes, different framing).
-    std::string piece;
-    while (response.body_stream(&piece)) {
-      response.body += piece;
-      piece.clear();
-    }
-    response.body_stream = nullptr;
-  }
-  Enqueue(SerializeResponseHead(response, keep_alive_, chunked));
-  if (chunked) {
-    body_stream_ = std::move(response.body_stream);
-    PumpStream();
-  } else if (!response.body.empty()) {
-    Enqueue(std::move(response.body));
-  }
+  Enqueue(SerializeResponseHead(response, keep_alive_));
+  Enqueue(std::move(response.body));
   FlushWrites();
 }
 
@@ -227,31 +209,10 @@ void Connection::EnterDraining(HttpResponse response) {
   drain_deadline_ = std::chrono::steady_clock::now() + kDrainDeadline;
   drain_write_done_ = false;
   drain_eof_ = false;
-  Enqueue(SerializeResponseHead(response, /*keep_alive=*/false, /*chunked=*/false));
-  if (!response.body.empty()) Enqueue(std::move(response.body));
+  Enqueue(SerializeResponseHead(response, /*keep_alive=*/false));
+  Enqueue(std::move(response.body));
   SetReadInterest(true);  // keep consuming what the peer already sent
   FlushWrites();
-}
-
-void Connection::PumpStream() {
-  while (body_stream_) {
-    if (queued_bytes_ >= server_->options_.write_high_water_bytes) {
-      if (!backpressure_episode_) {
-        backpressure_episode_ = true;
-        server_->backpressure_trips_.fetch_add(1);
-      }
-      return;  // resume pulling once the queue drains
-    }
-    std::string piece;
-    if (!body_stream_(&piece)) {
-      body_stream_ = nullptr;
-      Enqueue(kHttpLastChunk);
-      return;
-    }
-    std::string wire;
-    AppendHttpChunk(&wire, piece);
-    if (!wire.empty()) Enqueue(std::move(wire));
-  }
 }
 
 void Connection::FlushWrites() {
@@ -259,12 +220,6 @@ void Connection::FlushWrites() {
   const auto now = std::chrono::steady_clock::now();
   for (;;) {
     if (write_queue_.empty()) {
-      backpressure_episode_ = false;
-      if (body_stream_) {
-        PumpStream();
-        if (write_queue_.empty()) return;  // provider stalled the queue shut
-        continue;
-      }
       SetWriteInterest(false);
       if (state_ == State::kWriting) {
         FinishResponse();
@@ -295,9 +250,6 @@ void Connection::FlushWrites() {
       write_queue_.pop_front();
       front_offset_ = 0;
     }
-    if (body_stream_ && queued_bytes_ < server_->options_.write_high_water_bytes) {
-      PumpStream();
-    }
   }
 }
 
@@ -319,7 +271,6 @@ void Connection::FinishResponse() {
 void Connection::ResetForNextRequest() {
   parser_.ResetForNextRequest();
   state_ = State::kReadHead;
-  http_version_.clear();
   const auto now = std::chrono::steady_clock::now();
   last_read_progress_ = now;
   header_start_ = now;
@@ -388,7 +339,6 @@ void Connection::Close() {
   server_->queued_bytes_.fetch_sub(static_cast<int64_t>(queued_bytes_));
   queued_bytes_ = 0;
   write_queue_.clear();
-  body_stream_ = nullptr;
   sink_.reset();
   server_->loop_.Remove(fd_);
   ::close(fd_);

@@ -18,10 +18,10 @@
 // one connection: requests on a connection are answered one at a time, in
 // order.
 //
-// Writes are queued and flushed as EPOLLOUT allows. The queue is bounded by
-// a high-water mark: streamed responses stop pulling pieces until the queue
-// drains (backpressure), and a connection making no write progress for
-// `write_stall_seconds` is disconnected as a slow client.
+// Writes are queued and flushed as EPOLLOUT allows. A response is queued
+// whole (head plus its Content-Length body), and a connection making no
+// write progress for `write_stall_seconds` is disconnected as a slow client,
+// which releases its queue.
 
 #ifndef REPTILE_NET_CONNECTION_H_
 #define REPTILE_NET_CONNECTION_H_
@@ -74,12 +74,11 @@ class Connection {
   void HandleReadable();
   void AdvanceParser();
   void DispatchToHandler();
-  /// Queues `response` (head + body or chunked stream) and starts flushing.
+  /// Queues `response` (head + body) and starts flushing.
   void QueueResponse(HttpResponse response);
   /// Queues an error response, then lingers: drain what the peer has in
   /// flight (bounded) so our response isn't destroyed by an RST.
   void EnterDraining(HttpResponse response);
-  void PumpStream();
   void FlushWrites();
   void Enqueue(std::string data);
   void FinishResponse();  // write queue fully flushed
@@ -97,18 +96,15 @@ class Connection {
   std::unique_ptr<HttpBodySink> sink_;  // streamed-upload sink, if any
   bool streamed_upload_ = false;
 
-  // Per-exchange framing decisions, captured when the head is parsed.
+  // Keep-alive decision for this exchange, captured when the head is parsed.
   bool keep_alive_ = false;
-  std::string http_version_;
   int64_t requests_started_ = 0;  // for max_requests_per_connection
 
   // Write side: queued wire bytes; front_offset_ indexes into the front
-  // element. body_stream_ holds an unfinished streamed response.
+  // element.
   std::deque<std::string> write_queue_;
   size_t front_offset_ = 0;
   size_t queued_bytes_ = 0;
-  std::function<bool(std::string*)> body_stream_;
-  bool backpressure_episode_ = false;  // count one trip per congested episode
 
   // Deadlines (steady clock). header_start_ is set when the first byte of a
   // new request arrives; last_read_/last_write_progress_ advance on bytes

@@ -1,7 +1,6 @@
 #include "net/http_codec.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -202,33 +201,19 @@ HttpResponse QueueDeadlineError(double waited_ms, int deadline_ms) {
                "ms deadline\"}}");
 }
 
-std::string SerializeResponseHead(const HttpResponse& response, bool keep_alive,
-                                  bool chunked) {
+std::string SerializeResponseHead(const HttpResponse& response, bool keep_alive) {
   std::string out;
   out.reserve(256);
   out += "HTTP/1.1 " + std::to_string(response.status) + " " +
          HttpReasonPhrase(response.status) + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
-  if (chunked) {
-    out += "Transfer-Encoding: chunked\r\n";
-  } else {
-    out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  }
+  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
   for (const auto& [name, value] : response.extra_headers) {
     out += name + ": " + value + "\r\n";
   }
   out += "\r\n";
   return out;
-}
-
-void AppendHttpChunk(std::string* out, std::string_view piece) {
-  if (piece.empty()) return;  // a zero-length chunk would end the body
-  char size_line[32];
-  std::snprintf(size_line, sizeof(size_line), "%zx\r\n", piece.size());
-  *out += size_line;
-  out->append(piece.data(), piece.size());
-  *out += "\r\n";
 }
 
 bool RequestKeepsAlive(const HttpRequest& request) {

@@ -1,7 +1,7 @@
 // HTTP/1.1 framing for the epoll reactor (net/reactor_server.h): request
 // parsing through HttpRequestParser, an incremental state machine fed
-// whatever bytes epoll delivers, plus response-head serialization, chunked
-// transfer encoding and the transport error envelopes.
+// whatever bytes epoll delivers, plus response-head serialization
+// (Content-Length framing only) and the transport error envelopes.
 
 #ifndef REPTILE_NET_HTTP_CODEC_H_
 #define REPTILE_NET_HTTP_CODEC_H_
@@ -28,20 +28,10 @@ HttpResponse RateLimitedError(double retry_after_seconds);
 /// long it actually queued.
 HttpResponse QueueDeadlineError(double waited_ms, int deadline_ms);
 
-/// Serializes the status line and framing headers (terminating blank line
-/// included, body not included). `chunked` selects "Transfer-Encoding:
-/// chunked" over "Content-Length: <body.size()>"; only valid for HTTP/1.1
-/// responses.
-std::string SerializeResponseHead(const HttpResponse& response, bool keep_alive,
-                                  bool chunked);
-
-/// Appends one chunked-transfer-coding chunk (hex size, CRLF, data, CRLF).
-/// Empty pieces are skipped entirely — an empty chunk would terminate the
-/// body early.
-void AppendHttpChunk(std::string* out, std::string_view piece);
-
-/// The terminal zero-length chunk ending a chunked body.
-inline constexpr char kHttpLastChunk[] = "0\r\n\r\n";
+/// Serializes the status line and framing headers, "Content-Length:
+/// <body.size()>" among them (terminating blank line included, body not
+/// included).
+std::string SerializeResponseHead(const HttpResponse& response, bool keep_alive);
 
 /// Computes whether the connection stays open after this exchange:
 /// HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close, an explicit

@@ -4,15 +4,10 @@
 // process — as the tests do to get reference bytes — exactly as the front
 // end calls it.
 //
-// Bodies travel two ways:
-//  * Buffered (the default): HttpRequest::body / HttpResponse::body hold the
-//    complete bytes.
-//  * Streamed: a response may carry a pull provider (`body_stream`) that the
-//    front end drains chunk by chunk (Transfer-Encoding: chunked on the
-//    wire for HTTP/1.1; concatenated into an identity body for HTTP/1.0
-//    clients — the reassembled bytes are identical either way), and a
-//    request may be fed incrementally into an HttpBodySink so a multi-GB
-//    upload never materializes in one string.
+// A response body is always buffered: HttpResponse::body holds the complete
+// bytes, framed on the wire by Content-Length. A request body is buffered
+// into HttpRequest::body too, unless the routing layer streams it into an
+// HttpBodySink so a multi-GB upload never materializes in one string.
 
 #ifndef REPTILE_NET_HTTP_MESSAGE_H_
 #define REPTILE_NET_HTTP_MESSAGE_H_
@@ -41,22 +36,13 @@ struct HttpRequest {
   const std::string* FindHeader(const std::string& lowercase_name) const;
 };
 
-/// What a handler returns; the front end adds Content-Length / Connection /
-/// Transfer-Encoding framing headers itself.
+/// What a handler returns; the front end adds the Content-Length and
+/// Connection framing headers itself.
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
   std::string body;
   std::vector<std::pair<std::string, std::string>> extra_headers;
-
-  // Optional streamed body: when set, `body` must be empty and the front end
-  // pulls pieces until the provider returns false (chunked on the wire for
-  // HTTP/1.1). The provider is called from transport threads, one call at a
-  // time, never concurrently; it must tolerate being dropped without being
-  // drained (client vanished mid-response). The concatenation of every piece
-  // is the logical body — byte-identical to what a buffered response would
-  // have carried.
-  std::function<bool(std::string* piece)> body_stream;
 
   static HttpResponse Json(int status, std::string body) {
     HttpResponse response;

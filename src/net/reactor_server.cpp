@@ -174,8 +174,7 @@ void ReactorServer::OnAcceptReady() {
       // blocking-free best effort.
       overload_rejections_.fetch_add(1);
       HttpResponse busy = HttpFramingError(503, "server is at its connection limit");
-      std::string wire = SerializeResponseHead(busy, /*keep_alive=*/false,
-                                               /*chunked=*/false);
+      std::string wire = SerializeResponseHead(busy, /*keep_alive=*/false);
       wire += busy.body;
       (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
       ::close(fd);
@@ -287,7 +286,6 @@ void ReactorServer::RegisterMetrics(MetricsRegistry* registry) const {
       {"connections_accepted", &ReactorServer::connections_accepted},
       {"requests_dispatched", &ReactorServer::requests_dispatched},
       {"queued_bytes", &ReactorServer::queued_bytes},
-      {"backpressure_trips", &ReactorServer::backpressure_trips},
       {"slow_client_disconnects", &ReactorServer::slow_client_disconnects},
       {"overload_rejections", &ReactorServer::overload_rejections},
       {"requests_rate_limited", &ReactorServer::requests_rate_limited},

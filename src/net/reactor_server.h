@@ -8,9 +8,9 @@
 //  * An idle or slow client costs a few KB of connection state, not a
 //    blocked thread — thousands of keep-alive connections are fine with a
 //    fixed thread count (1 loop thread + num_threads workers).
-//  * Backpressure is explicit: per-connection write queues are bounded by a
-//    high-water mark; streamed responses pause instead of ballooning, and
-//    clients that stop reading are disconnected (slow_client_disconnects).
+//  * A response is queued whole and written as the socket accepts it; a
+//    client that stops reading is disconnected after `write_stall_seconds`
+//    (slow_client_disconnects), which releases its queued bytes.
 //  * Admission control: past `max_connections`, new connections get an
 //    immediate 503 and close (overload_rejections) instead of queuing
 //    invisibly in a pool.
@@ -63,9 +63,6 @@ struct ReactorServerOptions {
   // A connection whose write queue makes no progress for this long is
   // disconnected as a slow client. 0 = off.
   double write_stall_seconds = 10.0;
-  // Per-connection write-queue high-water mark: streamed responses stop
-  // pulling pieces above it until the queue drains below again.
-  size_t write_high_water_bytes = size_t{1} << 20;
   // Open-connection cap; 0 = unlimited. Beyond it new connections receive
   // an immediate 503 and are closed.
   int64_t max_connections = 0;
@@ -114,7 +111,6 @@ class ReactorServer {
   int64_t connections_accepted() const { return connections_accepted_.load(); }
   int64_t open_connections() const { return open_connections_.load(); }
   int64_t queued_bytes() const { return queued_bytes_.load(); }
-  int64_t backpressure_trips() const { return backpressure_trips_.load(); }
   int64_t slow_client_disconnects() const { return slow_client_disconnects_.load(); }
   int64_t overload_rejections() const { return overload_rejections_.load(); }
   /// Requests handed to the handler pool: a 429 is not, a shed 503 is.
@@ -168,7 +164,6 @@ class ReactorServer {
   std::atomic<int64_t> connections_accepted_{0};
   std::atomic<int64_t> open_connections_{0};
   std::atomic<int64_t> queued_bytes_{0};
-  std::atomic<int64_t> backpressure_trips_{0};
   std::atomic<int64_t> slow_client_disconnects_{0};
   std::atomic<int64_t> overload_rejections_{0};
   std::atomic<int64_t> requests_dispatched_{0};

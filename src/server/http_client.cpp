@@ -242,78 +242,30 @@ Result<HttpClientResponse> HttpClient::Request(const std::string& method,
       }
 
       buffer.erase(0, head_end + 4);
-      const std::string* te = response.FindHeader("transfer-encoding");
-      if (te != nullptr) {
-        // Streamed responses arrive chunked; the decoded bytes are the body.
-        if (Lowercase(*te) != "chunked") {
-          Disconnect();
-          return Status::ParseError("unsupported Transfer-Encoding: " + *te);
-        }
-        for (;;) {
-          size_t size_end;
-          while ((size_end = buffer.find("\r\n")) == std::string::npos) {
-            FillResult fill = Fill(fd_, &buffer);
-            if (fill != FillResult::kData) {
-              Disconnect();
-              if (fill == FillResult::kTimeout) return TimeoutStatus(timeout_ms_, "mid-body");
-              return Status::IoError("connection closed mid-body");
-            }
-          }
-          std::string size_line = buffer.substr(0, size_end);
-          size_t semicolon = size_line.find(';');  // chunk extensions: ignored
-          if (semicolon != std::string::npos) size_line.erase(semicolon);
-          char* end = nullptr;
-          errno = 0;
-          unsigned long long size = std::strtoull(size_line.c_str(), &end, 16);
-          if (end == size_line.c_str() || errno == ERANGE) {
-            Disconnect();
-            return Status::ParseError("malformed chunk size: " + size_line);
-          }
-          buffer.erase(0, size_end + 2);
-          while (buffer.size() < size + 2) {
-            FillResult fill = Fill(fd_, &buffer);
-            if (fill != FillResult::kData) {
-              Disconnect();
-              if (fill == FillResult::kTimeout) return TimeoutStatus(timeout_ms_, "mid-body");
-              return Status::IoError("connection closed mid-body");
-            }
-          }
-          if (buffer.compare(size, 2, "\r\n") != 0) {
-            Disconnect();
-            return Status::ParseError(size == 0 ? "unexpected chunked trailer"
-                                                : "chunk is missing its CRLF terminator");
-          }
-          if (size == 0) {
-            buffer.erase(0, 2);
-            break;
-          }
-          response.body.append(buffer, 0, static_cast<size_t>(size));
-          buffer.erase(0, static_cast<size_t>(size) + 2);
-        }
-        // Anything left over would be a pipelined response we never asked
-        // for; drop the connection in that case to stay in lockstep.
-        if (!buffer.empty()) Disconnect();
-      } else {
-        const std::string* length_header = response.FindHeader("content-length");
-        if (length_header == nullptr) {
-          Disconnect();
-          return Status::ParseError("response has no Content-Length");
-        }
-        size_t length =
-            static_cast<size_t>(std::strtoull(length_header->c_str(), nullptr, 10));
-        while (buffer.size() < length) {
-          FillResult fill = Fill(fd_, &buffer);
-          if (fill != FillResult::kData) {
-            Disconnect();
-            if (fill == FillResult::kTimeout) return TimeoutStatus(timeout_ms_, "mid-body");
-            return Status::IoError("connection closed mid-body");
-          }
-        }
-        response.body = buffer.substr(0, length);
-        // Anything after the body would be a pipelined response we never
-        // asked for; drop the connection in that case to stay in lockstep.
-        if (buffer.size() != length) Disconnect();
+      // Every response this client reads is framed by Content-Length; a
+      // coded body would leave the connection's framing unknown.
+      if (const std::string* te = response.FindHeader("transfer-encoding")) {
+        Disconnect();
+        return Status::ParseError("unsupported Transfer-Encoding: " + *te);
       }
+      const std::string* length_header = response.FindHeader("content-length");
+      if (length_header == nullptr) {
+        Disconnect();
+        return Status::ParseError("response has no Content-Length");
+      }
+      size_t length = static_cast<size_t>(std::strtoull(length_header->c_str(), nullptr, 10));
+      while (buffer.size() < length) {
+        FillResult fill = Fill(fd_, &buffer);
+        if (fill != FillResult::kData) {
+          Disconnect();
+          if (fill == FillResult::kTimeout) return TimeoutStatus(timeout_ms_, "mid-body");
+          return Status::IoError("connection closed mid-body");
+        }
+      }
+      response.body = buffer.substr(0, length);
+      // Anything after the body would be a pipelined response we never
+      // asked for; drop the connection in that case to stay in lockstep.
+      if (buffer.size() != length) Disconnect();
 
       const std::string* connection = response.FindHeader("connection");
       if (connection != nullptr && Lowercase(*connection) == "close") Disconnect();

@@ -1,11 +1,9 @@
 // Minimal blocking HTTP/1.1 client over POSIX sockets — just enough to drive
 // the server from loopback integration tests and benchmarks without an
-// external dependency. Requests carry Content-Length; responses may be
-// Content-Length framed or chunked (the servers stream large bodies with
-// Transfer-Encoding: chunked — the client hands back the decoded body, so
-// callers never see the framing). Keep-alive: one TCP connection is reused
-// across requests and transparently re-established when the server closes
-// it.
+// external dependency. Requests and responses are framed by Content-Length;
+// a response carrying a Transfer-Encoding is a kParseError and drops the
+// connection. Keep-alive: one TCP connection is reused across requests and
+// transparently re-established when the server closes it.
 //
 // Not a general-purpose client: no TLS, no redirects, no request
 // pipelining. A client instance is single-threaded; concurrent test traffic
@@ -39,7 +37,8 @@ class HttpClient {
   HttpClient& operator=(const HttpClient&) = delete;
 
   /// kIoError when the server is unreachable or drops the connection,
-  /// kParseError when the response is not well-formed HTTP.
+  /// kParseError when the response is not well-formed HTTP or is not framed
+  /// by Content-Length.
   Result<HttpClientResponse> Get(const std::string& path);
   Result<HttpClientResponse> Post(const std::string& path, const std::string& body,
                                   const std::string& content_type = "application/json");

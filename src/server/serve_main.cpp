@@ -60,9 +60,6 @@
 //                         delete; commit) and GET /v1/debug/requests; the
 //                         other reads, /healthz and /metricsz stay open.
 //                         Default: no auth.
-//   --stream-threshold N  stream recommend_batch bodies of >= N bytes
-//                         (chunked on HTTP/1.1) instead of buffering them
-//                         (default: off)
 //   --max-connections N   503 new connections past N open
 //                         (default 0 = unlimited)
 //   --rate-limit-rps R    admission token bucket: past R requests/second
@@ -80,8 +77,6 @@
 //                         bound; default 30, 0 = never)
 //   --write-stall S       drop clients whose reads make no progress for S
 //                         seconds (default 10, 0 = never)
-//   --high-water-bytes N  per-connection write-queue cap; streamed
-//                         responses pause above it (default 1 MiB)
 //   --log-level L         structured-log threshold: debug|info|warn|error|off
 //                         (default info; debug logs one JSON line per
 //                         request). Lines are JSON objects, one per line,
@@ -180,14 +175,12 @@ struct Args {
   int64_t max_datasets = 64;
   size_t max_body_bytes = 8 * 1024 * 1024;
   std::string auth_token;
-  size_t stream_threshold = SIZE_MAX;  // off
   int64_t max_connections = 0;
   double rate_limit_rps = 0.0;
   double rate_limit_burst = 0.0;
   int queue_deadline_ms = 0;
   int idle_timeout = 30;
   double write_stall = 10.0;
-  size_t high_water_bytes = size_t{1} << 20;
   std::string log_level = "info";
   std::string log_file;
   double slow_request_ms = 0.0;
@@ -201,11 +194,9 @@ struct Args {
                "[--port P] [--http-threads N] [--engine-threads N] [--top-k K] "
                "[--session-ttl S] [--dataset-root DIR] [--max-sessions N] "
                "[--max-datasets N] [--max-body-bytes N] [--separator C] "
-               "[--auth-token T] [--stream-threshold N] "
-               "[--max-connections N] [--rate-limit-rps R] "
+               "[--auth-token T] [--max-connections N] [--rate-limit-rps R] "
                "[--rate-limit-burst B] [--queue-deadline-ms N] "
-               "[--idle-timeout S] [--write-stall S] "
-               "[--high-water-bytes N] [--snapshot-dir DIR] "
+               "[--idle-timeout S] [--write-stall S] [--snapshot-dir DIR] "
                "[--cache-budget-mb N] [--max-requests-per-connection N] "
                "[--log-level L] [--log-file PATH] [--slow-request-ms N] "
                "[--debug-requests N]\n",
@@ -315,8 +306,6 @@ Args ParseArgs(int argc, char** argv) {
       number(&args.max_body_bytes);
     } else if (flag == "--auth-token") {
       args.auth_token = value_of(i);
-    } else if (flag == "--stream-threshold") {
-      number(&args.stream_threshold);
     } else if (flag == "--max-connections") {
       number(&args.max_connections);
     } else if (flag == "--rate-limit-rps") {
@@ -329,8 +318,6 @@ Args ParseArgs(int argc, char** argv) {
       number(&args.idle_timeout);
     } else if (flag == "--write-stall") {
       number(&args.write_stall);
-    } else if (flag == "--high-water-bytes") {
-      number(&args.high_water_bytes);
     } else if (flag == "--log-level") {
       args.log_level = value_of(i);
       if (!ParseLogLevel(args.log_level).has_value()) {
@@ -374,7 +361,6 @@ int Main(int argc, char** argv) {
   service_options.max_sessions = args.max_sessions;
   service_options.max_datasets = args.max_datasets;
   service_options.auth_token = args.auth_token;
-  service_options.stream_threshold_bytes = args.stream_threshold;
   service_options.cache_budget_bytes = args.cache_budget_mb * 1024 * 1024;
   service_options.slow_request_ms = args.slow_request_ms;
   service_options.debug_request_ring =
@@ -462,7 +448,6 @@ int Main(int argc, char** argv) {
   server_options.max_connections = args.max_connections;
   server_options.idle_timeout_seconds = args.idle_timeout;
   server_options.write_stall_seconds = args.write_stall;
-  server_options.write_high_water_bytes = args.high_water_bytes;
   server_options.max_requests_per_connection = args.max_requests_per_connection;
   server_options.rate_limit_rps = args.rate_limit_rps;
   // --rate-limit-burst defaults to two seconds of sustained rate: deep

@@ -1172,9 +1172,6 @@ std::span<const ReptileService::Route> ReptileService::Routes() {
       {"POST", "/v1/recommend_batch", kOpen, nullptr, nullptr, &S::HandleRecommend},
       {"POST", "/v1/view", kOpen, nullptr, nullptr, &S::HandleView},
       {"POST", "/v1/commit", kGated, nullptr, nullptr, &S::HandleCommit},
-      {"POST", "/v1/_debug/status", kOpen,
-       [](const ServiceOptions& o) { return o.enable_debug_status_route; }, nullptr,
-       &S::HandleDebugStatus},
   };
   return kRoutes;
 }
@@ -1688,64 +1685,34 @@ HttpResponse ReptileService::HandleRecommend(const RouteArgs& args) {
   options->batch.trace = trace;
   if (trace != nullptr && options->zero_timings) trace->set_zero_durations(true);
 
+  // Both forms answer with the exact ToJson() bytes. The version rides a
+  // header, NEVER the body: the differential tests compare status + body
+  // only — extra headers are free.
+  auto respond = [&](auto response) {
+    if (!response.ok()) return ErrorResponse(response.status());
+    if (options->zero_timings) ZeroTimings(&*response);
+    std::string json;
+    {
+      ScopedSpan serialize_span(trace, "serialize");
+      json = response->ToJson();
+    }
+    HttpResponse ok = HttpResponse::Json(200, std::move(json));
+    ok.extra_headers.emplace_back("X-Dataset-Version",
+                                  std::to_string((*entry)->dataset_version));
+    return ok;
+  };
   if (batch) {
-    Result<BatchExploreResponse> response = [&] {
+    return respond([&] {
       std::lock_guard<std::mutex> lock((*entry)->mu);
       return (*entry)->session.RecommendAll(
           std::span<const ComplaintSpec>(complaints.data(), complaints.size()),
           options->batch);
-    }();
-    if (!response.ok()) return ErrorResponse(response.status());
-    if (options->zero_timings) ZeroTimings(&*response);
-    std::vector<std::string> pieces;
-    {
-      ScopedSpan serialize_span(trace, "serialize");
-      pieces = response->ToJsonPieces();
-    }
-    // The version rides a header, NEVER the body: recommend/view bodies are
-    // exact ToJson() bytes, and the differential tests compare status + body
-    // only — extra headers are free.
-    const std::string version = std::to_string((*entry)->dataset_version);
-    size_t total = 0;
-    for (const std::string& piece : pieces) total += piece.size();
-    if (total < options_.stream_threshold_bytes) {
-      std::string body;
-      body.reserve(total);
-      for (const std::string& piece : pieces) body += piece;
-      HttpResponse ok = HttpResponse::Json(200, std::move(body));
-      ok.extra_headers.emplace_back("X-Dataset-Version", version);
-      return ok;
-    }
-    // Large batch: hand the front end a pull stream over the pieces instead
-    // of one giant buffer — chunked on the wire for HTTP/1.1, reassembling
-    // to exactly the buffered bytes (ToJsonPieces() concatenates to
-    // ToJson()).
-    HttpResponse streamed;
-    streamed.extra_headers.emplace_back("X-Dataset-Version", version);
-    auto state = std::make_shared<std::pair<std::vector<std::string>, size_t>>(
-        std::move(pieces), 0);
-    streamed.body_stream = [state](std::string* piece) {
-      if (state->second >= state->first.size()) return false;
-      *piece = std::move(state->first[state->second++]);
-      return true;
-    };
-    return streamed;
+    }());
   }
-  Result<ExploreResponse> response = [&] {
+  return respond([&] {
     std::lock_guard<std::mutex> lock((*entry)->mu);
     return (*entry)->session.Recommend(complaints.front(), options->batch);
-  }();
-  if (!response.ok()) return ErrorResponse(response.status());
-  if (options->zero_timings) ZeroTimings(&*response);
-  std::string json;
-  {
-    ScopedSpan serialize_span(trace, "serialize");
-    json = response->ToJson();
-  }
-  HttpResponse ok = HttpResponse::Json(200, std::move(json));
-  ok.extra_headers.emplace_back("X-Dataset-Version",
-                                std::to_string((*entry)->dataset_version));
-  return ok;
+  }());
 }
 
 HttpResponse ReptileService::HandleView(const RouteArgs& args) {
@@ -1815,26 +1782,6 @@ HttpResponse ReptileService::HandleCommit(const RouteArgs& args) {
   ok.extra_headers.emplace_back("X-Dataset-Version",
                                 std::to_string((*entry)->dataset_version));
   return ok;
-}
-
-HttpResponse ReptileService::HandleDebugStatus(const RouteArgs& args) {
-  Result<JsonValue> parsed = ParseObjectBody(args.request.body, {"code", "message"});
-  if (!parsed.ok()) return ErrorResponse(parsed.status());
-  Result<std::string> code_name = StringField(*parsed, "request body", "code", true);
-  if (!code_name.ok()) return ErrorResponse(code_name.status());
-  Result<std::string> message =
-      StringField(*parsed, "request body", "message", false, "debug status");
-  if (!message.ok()) return ErrorResponse(message.status());
-  for (StatusCode code :
-       {StatusCode::kInvalidArgument, StatusCode::kNotFound, StatusCode::kFailedPrecondition,
-        StatusCode::kIoError, StatusCode::kParseError, StatusCode::kInternal,
-        StatusCode::kDeadlineExceeded}) {
-    if (*code_name == StatusCodeName(code)) {
-      return ErrorResponse(Status(code, std::move(*message)));
-    }
-  }
-  return ErrorResponse(
-      Status::InvalidArgument("unknown status code name '" + *code_name + "'"));
 }
 
 }  // namespace reptile

@@ -92,13 +92,6 @@ class Counter;          // obs/metrics.h
 class Histogram;        // obs/metrics.h
 
 struct ServiceOptions {
-  // Enables POST /v1/_debug/status {"code","message"}, which renders the
-  // named StatusCode through the error path — lets integration tests assert
-  // the complete StatusCode -> HTTP mapping over loopback, including codes
-  // (kIoError, kInternal) no healthy data route produces. Off by default;
-  // never enable on an exposed server.
-  bool enable_debug_status_route = false;
-
   // Idle TTL for non-default sessions, in seconds; 0 = never evict. An
   // expired session is evicted on the next session-table access (the sweep
   // is throttled to at most once per ttl/8 so steady-state lookups do not
@@ -133,14 +126,6 @@ struct ServiceOptions {
   // Bearer token required on the gated routes (see the header comment) when
   // non-empty. Empty (the default) disables the check entirely.
   std::string auth_token;
-
-  // recommend_batch responses whose serialized body reaches this many bytes
-  // are streamed (HttpResponse::body_stream over ToJsonPieces(), chunked on
-  // the wire for HTTP/1.1) instead of materialized in one buffer. The
-  // reassembled bytes are identical to the buffered body — ToJsonPieces()
-  // concatenates to exactly ToJson(). SIZE_MAX (the default) disables
-  // streaming, so existing clients see unchanged framing.
-  size_t stream_threshold_bytes = SIZE_MAX;
 
   // Capacity of the in-memory ring of recent request trace records served
   // at GET /v1/debug/requests (trace id, route, status, stage spans). 0
@@ -393,7 +378,6 @@ class ReptileService {
   HttpResponse HandleRecommend(const RouteArgs& args);  // and recommend_batch
   HttpResponse HandleView(const RouteArgs& args);
   HttpResponse HandleCommit(const RouteArgs& args);
-  HttpResponse HandleDebugStatus(const RouteArgs& args);
   std::unique_ptr<HttpBodySink> StreamDatasetCreate(const RouteArgs& args);
   std::unique_ptr<HttpBodySink> StreamDatasetAppend(const RouteArgs& args);
 

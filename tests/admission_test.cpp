@@ -262,20 +262,15 @@ TEST(AdmissionTest, QueueDeadlineShedsBehindABusyWorker) {
 }
 
 TEST(AdmissionTest, DeadlineExceededMapsTo504OnTheWire) {
-  ServiceOptions options;
-  options.enable_debug_status_route = true;
-  ReptileService service(std::move(options));
   ReactorServerOptions server_options;
   server_options.num_threads = 1;
-  ReactorServer server(server_options, [&service](const HttpRequest& request) {
-    return service.Handle(request);
+  ReactorServer server(server_options, [](const HttpRequest&) {
+    return ReptileService::ErrorResponse(Status::DeadlineExceeded("engine budget spent"));
   });
   ASSERT_TRUE(server.Start().ok());
 
   HttpClient client("127.0.0.1", server.port());
-  Result<HttpClientResponse> response = client.Post(
-      "/v1/_debug/status",
-      R"({"code":"DEADLINE_EXCEEDED","message":"engine budget spent"})");
+  Result<HttpClientResponse> response = client.Post("/v1/recommend", "{}");
   server.Stop();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 504);

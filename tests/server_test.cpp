@@ -117,7 +117,6 @@ class ServerTest : public ::testing::Test {
  protected:
   ServerTest() : direct_(MakePanelSession()) {
     ServiceOptions service_options;
-    service_options.enable_debug_status_route = true;
     service_options.dataset_path_root = ::testing::TempDir();
     service_ = std::make_unique<ReptileService>(service_options);
     EXPECT_TRUE(service_->AddDataset("panel", MakePanel(), {"time"}).ok());
@@ -383,20 +382,31 @@ TEST_F(ServerTest, RequestErrorSurface) {
   EXPECT_EQ(post_healthz->status, 405);
 }
 
-// Every StatusCode -> HTTP pair, asserted over loopback via the debug route
-// (kIoError / kInternal have no healthy data-route trigger).
+// Every StatusCode -> HTTP pair, asserted over loopback through a front end
+// whose handler renders the code named by the path with
+// ReptileService::ErrorResponse (kIoError / kInternal have no healthy
+// data-route trigger).
 TEST_F(ServerTest, StatusCodeToHttpMappingOverLoopback) {
-  const std::pair<const char*, int> expected[] = {
-      {"INVALID_ARGUMENT", 400}, {"PARSE_ERROR", 400},        {"NOT_FOUND", 404},
-      {"FAILED_PRECONDITION", 409}, {"IO_ERROR", 500},        {"INTERNAL", 500},
+  const std::pair<StatusCode, int> expected[] = {
+      {StatusCode::kInvalidArgument, 400}, {StatusCode::kParseError, 400},
+      {StatusCode::kNotFound, 404},        {StatusCode::kFailedPrecondition, 409},
+      {StatusCode::kIoError, 500},         {StatusCode::kInternal, 500},
   };
-  HttpClient client = Client();
+  ReactorServer errors(ReactorServerOptions(), [&expected](const HttpRequest& request) {
+    for (const auto& [code, http] : expected) {
+      if (request.path == std::string("/") + StatusCodeName(code)) {
+        return ReptileService::ErrorResponse(Status(code, "mapped"));
+      }
+    }
+    return HttpResponse::Json(200, "{}");
+  });
+  ASSERT_TRUE(errors.Start().ok());
+  HttpClient client("127.0.0.1", errors.port());
   for (const auto& [code, http] : expected) {
-    Result<HttpClientResponse> response = client.Post(
-        "/v1/_debug/status",
-        std::string(R"({"code":")") + code + R"(","message":"mapped"})");
-    ExpectError(response, http, code);
+    ExpectError(client.Get(std::string("/") + StatusCodeName(code)), http,
+                StatusCodeName(code));
   }
+  errors.Stop();
   // And the mapping function itself, including kOk.
   EXPECT_EQ(ReptileService::HttpStatusFor(StatusCode::kOk), 200);
   EXPECT_EQ(ReptileService::HttpStatusFor(StatusCode::kInvalidArgument), 400);
