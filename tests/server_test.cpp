@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/json_util.h"
@@ -382,19 +383,23 @@ TEST_F(ServerTest, RequestErrorSurface) {
   EXPECT_EQ(post_healthz->status, 405);
 }
 
-// Every StatusCode -> HTTP pair, asserted over loopback through a front end
-// whose handler renders the code named by the path with
+// Every StatusCode -> HTTP pair and wire code name, asserted over loopback
+// through a front end whose handler renders the code named by the path with
 // ReptileService::ErrorResponse (kIoError / kInternal have no healthy
-// data-route trigger).
+// data-route trigger). The names are literals, so renaming a code on the
+// wire fails here.
 TEST_F(ServerTest, StatusCodeToHttpMappingOverLoopback) {
-  const std::pair<StatusCode, int> expected[] = {
-      {StatusCode::kInvalidArgument, 400}, {StatusCode::kParseError, 400},
-      {StatusCode::kNotFound, 404},        {StatusCode::kFailedPrecondition, 409},
-      {StatusCode::kIoError, 500},         {StatusCode::kInternal, 500},
+  const std::tuple<StatusCode, int, const char*> expected[] = {
+      {StatusCode::kInvalidArgument, 400, "INVALID_ARGUMENT"},
+      {StatusCode::kParseError, 400, "PARSE_ERROR"},
+      {StatusCode::kNotFound, 404, "NOT_FOUND"},
+      {StatusCode::kFailedPrecondition, 409, "FAILED_PRECONDITION"},
+      {StatusCode::kIoError, 500, "IO_ERROR"},
+      {StatusCode::kInternal, 500, "INTERNAL"},
   };
   ReactorServer errors(ReactorServerOptions(), [&expected](const HttpRequest& request) {
-    for (const auto& [code, http] : expected) {
-      if (request.path == std::string("/") + StatusCodeName(code)) {
+    for (const auto& [code, http, name] : expected) {
+      if (request.path == std::string("/") + name) {
         return ReptileService::ErrorResponse(Status(code, "mapped"));
       }
     }
@@ -402,9 +407,8 @@ TEST_F(ServerTest, StatusCodeToHttpMappingOverLoopback) {
   });
   ASSERT_TRUE(errors.Start().ok());
   HttpClient client("127.0.0.1", errors.port());
-  for (const auto& [code, http] : expected) {
-    ExpectError(client.Get(std::string("/") + StatusCodeName(code)), http,
-                StatusCodeName(code));
+  for (const auto& [code, http, name] : expected) {
+    ExpectError(client.Get(std::string("/") + name), http, name);
   }
   errors.Stop();
   // And the mapping function itself, including kOk.
