@@ -41,11 +41,12 @@ std::vector<InvocationCosts> Run(const Dataset& dataset, DrillDownState::Mode mo
     state.BeginInvocation();
     // A Reptile invocation evaluates both hierarchies as candidates: each
     // needs its own aggregates one level deeper plus the other's at the
-    // committed depth.
-    state.Get(0, state.depth(0) + 1);  // candidate A
-    state.Get(0, state.depth(0));      // A at committed depth (for candidate B)
-    state.Get(1, state.depth(1) + 1);  // candidate B
-    state.Get(1, state.depth(1));      // B at committed depth (for candidate A)
+    // committed depth. Built inline, so the areas are single-thread costs.
+    state.Prefetch({{0, state.depth(0) + 1},   // candidate A
+                    {0, state.depth(0)},       // A at committed depth (for candidate B)
+                    {1, state.depth(1) + 1},   // candidate B
+                    {1, state.depth(1)}},      // B at committed depth (for candidate A)
+                   nullptr);
     costs.push_back(
         InvocationCosts{state.InvocationBuildSeconds(0), state.InvocationBuildSeconds(1)});
     state.Commit(0);  // the user picks A every time

@@ -33,6 +33,32 @@ require_bench_json() {
   fi
 }
 
+# Starts "$BUILD_DIR/reptile_serve --demo --port 0" with the extra flags given
+# after the stage name, then waits for its "listening on 127.0.0.1:<port>"
+# line: sets SERVE_PID and PORT, and sets an EXIT trap that kills the server
+# if the script stops before the stage's own clean shutdown (which clears the
+# trap). A server that exits first, or never reports its port within 10 s,
+# fails the script with its log.
+start_server() {
+  local name="$1"
+  shift
+  local log
+  log="$(mktemp)"
+  "$BUILD_DIR/reptile_serve" --demo --port 0 "$@" > "$log" 2>&1 &
+  SERVE_PID=$!
+  trap 'kill -9 "$SERVE_PID" 2>/dev/null || true' EXIT
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")"
+    [[ -n "$PORT" ]] && return 0
+    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$log"; exit 1; }
+    sleep 0.1
+  done
+  echo "$name never reported its port"
+  cat "$log"
+  exit 1
+}
+
 cmake -B "$BUILD_DIR" -S . -DREPTILE_WERROR=ON "$@"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
@@ -62,18 +88,7 @@ fi
 
 if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   echo "--- server smoke: reptile_serve --demo on an ephemeral port"
-  SERVE_LOG="$(mktemp)"
-  "$BUILD_DIR/reptile_serve" --demo --port 0 --http-threads 2 > "$SERVE_LOG" 2>&1 &
-  SERVE_PID=$!
-  trap 'kill -9 "$SERVE_PID" 2>/dev/null || true' EXIT
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$SERVE_LOG")"
-    [[ -n "$PORT" ]] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_LOG"; exit 1; }
-    sleep 0.1
-  done
-  [[ -n "$PORT" ]] || { echo "server never reported its port"; cat "$SERVE_LOG"; exit 1; }
+  start_server "server" --http-threads 2
   # No `grep -q` downstream of curl: -q exits on first match, and under
   # pipefail a still-writing curl then dies with EPIPE (exit 23). Plain grep
   # reads to EOF, and >/dev/null keeps the gate silent.
@@ -186,73 +201,61 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   done
 
   echo "--- auth + streamed-upload smoke: reptile_serve --auth-token"
-  AUTH_LOG="$(mktemp)"
-  "$BUILD_DIR/reptile_serve" --demo --port 0 --http-threads 2 \
-      --auth-token smoke-tok > "$AUTH_LOG" 2>&1 &
-  AUTH_PID=$!
-  trap 'kill -9 "$AUTH_PID" 2>/dev/null || true' EXIT
-  RPORT=""
-  for _ in $(seq 1 100); do
-    RPORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$AUTH_LOG")"
-    [[ -n "$RPORT" ]] && break
-    kill -0 "$AUTH_PID" 2>/dev/null || { cat "$AUTH_LOG"; exit 1; }
-    sleep 0.1
-  done
-  [[ -n "$RPORT" ]] || { echo "auth server never reported its port"; cat "$AUTH_LOG"; exit 1; }
+  start_server "auth server" --http-threads 2 --auth-token smoke-tok
   # /healthz and /metricsz are auth-exempt; /metricsz surfaces the transport
   # counters.
-  curl -fsS "http://127.0.0.1:$RPORT/healthz" | grep '"status":"ok"' >/dev/null
-  curl -fsS "http://127.0.0.1:$RPORT/metricsz" \
+  curl -fsS "http://127.0.0.1:$PORT/healthz" | grep '"status":"ok"' >/dev/null
+  curl -fsS "http://127.0.0.1:$PORT/metricsz" \
     | grep -E '^reptile_transport_open_connections [0-9]+$' >/dev/null
   # Mutating routes require the bearer token: 401 without, 201 with — and the
   # with-token path is a text/csv body streamed straight into the parser.
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-        "http://127.0.0.1:$RPORT/v1/datasets?name=s&dimensions=d,y&measures=m" \
+        "http://127.0.0.1:$PORT/v1/datasets?name=s&dimensions=d,y&measures=m" \
         -H 'Content-Type: text/csv' --data-binary $'d,y,m\nd0,y0,1\n')" == "401" ]]
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
         -H 'Authorization: Bearer smoke-tok' -H 'Content-Type: text/csv' \
         --data-binary $'d,y,m\nd0,y0,1\nd0,y1,2\nd1,y0,3\nd1,y1,4\n' \
-        "http://127.0.0.1:$RPORT/v1/datasets?name=s&dimensions=d,y&measures=m&hierarchy=geo:d&hierarchy=time:y&commits=time")" == "201" ]]
+        "http://127.0.0.1:$PORT/v1/datasets?name=s&dimensions=d,y&measures=m&hierarchy=geo:d&hierarchy=time:y&commits=time")" == "201" ]]
   # Reads stay open without a token; the streamed dataset is queryable.
-  curl -fsS -X POST "http://127.0.0.1:$RPORT/v1/recommend" \
+  curl -fsS -X POST "http://127.0.0.1:$PORT/v1/recommend" \
       -d '{"dataset":"s","complaint":{"aggregate":"mean","measure":"m","where":[{"column":"y","value":"y0"}]}}' \
     | grep '"best_index"' >/dev/null
   # /metricsz re-exports the transport counters as gauges.
-  curl -fsS "http://127.0.0.1:$RPORT/metricsz" \
+  curl -fsS "http://127.0.0.1:$PORT/metricsz" \
     | grep 'reptile_transport_requests_dispatched' >/dev/null
 
   echo "--- auth + streamed-upload smoke: streamed append lifecycle"
   # Pin a session to version 1, then append a raw text/csv body streamed
   # straight into the parser. Appends are mutations: 401 without the token.
   RPIN="$(curl -fsS -X POST -H 'Authorization: Bearer smoke-tok' \
-      "http://127.0.0.1:$RPORT/v1/sessions" -d '{"dataset":"s","committed":{"time":1}}' \
+      "http://127.0.0.1:$PORT/v1/sessions" -d '{"dataset":"s","committed":{"time":1}}' \
     | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')"
   [[ -n "$RPIN" ]] || { echo "pinned session create returned no id"; exit 1; }
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
         -H 'Content-Type: text/csv' --data-binary $'d,y,m\nd2,y0,9\n' \
-        "http://127.0.0.1:$RPORT/v1/datasets/s/rows")" == "401" ]]
+        "http://127.0.0.1:$PORT/v1/datasets/s/rows")" == "401" ]]
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
         -H 'Authorization: Bearer smoke-tok' -H 'Content-Type: text/csv' \
         --data-binary $'d,y,m\nd2,y0,9\n' \
-        "http://127.0.0.1:$RPORT/v1/datasets/s/rows")" == "201" ]]
+        "http://127.0.0.1:$PORT/v1/datasets/s/rows")" == "201" ]]
   # Both versions answer here too: pinned session on v1, head on v2.
-  curl -fsS -D - -X POST "http://127.0.0.1:$RPORT/v1/recommend" \
+  curl -fsS -D - -X POST "http://127.0.0.1:$PORT/v1/recommend" \
       -d '{"session":"'"$RPIN"'","complaint":{"aggregate":"mean","measure":"m","where":[{"column":"y","value":"y0"}]}}' \
     | grep -i '^x-dataset-version: 1' >/dev/null
-  curl -fsS -D - -X POST "http://127.0.0.1:$RPORT/v1/recommend" \
+  curl -fsS -D - -X POST "http://127.0.0.1:$PORT/v1/recommend" \
       -d '{"dataset":"s","complaint":{"aggregate":"mean","measure":"m","where":[{"column":"y","value":"y0"}]}}' \
     | grep -i '^x-dataset-version: 2' >/dev/null
-  curl -fsS "http://127.0.0.1:$RPORT/healthz" \
+  curl -fsS "http://127.0.0.1:$PORT/healthz" \
     | grep '"dataset":"s","head":2,"live":\[1,2\]' >/dev/null
   # DELETE drops the chain and every session over it, pinned ones included.
   curl -fsS -X DELETE -H 'Authorization: Bearer smoke-tok' \
-      "http://127.0.0.1:$RPORT/v1/datasets/s" | grep '"deleted"' >/dev/null
-  [[ "$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$RPORT/v1/sessions/$RPIN")" == "404" ]]
+      "http://127.0.0.1:$PORT/v1/datasets/s" | grep '"deleted"' >/dev/null
+  [[ "$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/v1/sessions/$RPIN")" == "404" ]]
   [[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-        "http://127.0.0.1:$RPORT/v1/recommend" \
+        "http://127.0.0.1:$PORT/v1/recommend" \
         -d '{"dataset":"s@v2","complaint":{"aggregate":"count"}}')" == "404" ]]
-  kill -TERM "$AUTH_PID"
-  wait "$AUTH_PID"
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID"
   trap - EXIT
   echo "--- auth + streamed-upload smoke passed"
 
@@ -274,19 +277,8 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   # zero mismatches, zero timeouts — loadgen itself exits non-zero otherwise,
   # and the greps double-check the recorded report. Structural gates only:
   # never absolute timings (CI machines are slow and shared).
-  STEADY_LOG="$(mktemp)"
-  "$BUILD_DIR/reptile_serve" --demo --port 0 --http-threads 4 > "$STEADY_LOG" 2>&1 &
-  STEADY_PID=$!
-  trap 'kill -9 "$STEADY_PID" 2>/dev/null || true' EXIT
-  LPORT=""
-  for _ in $(seq 1 100); do
-    LPORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$STEADY_LOG")"
-    [[ -n "$LPORT" ]] && break
-    kill -0 "$STEADY_PID" 2>/dev/null || { cat "$STEADY_LOG"; exit 1; }
-    sleep 0.1
-  done
-  [[ -n "$LPORT" ]] || { echo "steady server never reported its port"; cat "$STEADY_LOG"; exit 1; }
-  "$BUILD_DIR/reptile_loadgen" --port "$LPORT" --scenario steady --seed 42 \
+  start_server "steady server" --http-threads 4
+  "$BUILD_DIR/reptile_loadgen" --port "$PORT" --scenario steady --seed 42 \
     --out "$BUILD_DIR/BENCH_workload_steady.json"
   require_bench_json "$BUILD_DIR/BENCH_workload_steady.json"
   grep -q '"scenario":"steady"' "$BUILD_DIR/BENCH_workload_steady.json"
@@ -300,36 +292,24 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   # Same unthrottled server (per-scenario dataset names never collide): a
   # feeder appends v2 and v3 mid-run while analysts stay pinned to @v1, and
   # every response — pinned and head alike — must match the oracle's bytes.
-  "$BUILD_DIR/reptile_loadgen" --port "$LPORT" --scenario churn --seed 42 \
+  "$BUILD_DIR/reptile_loadgen" --port "$PORT" --scenario churn --seed 42 \
     --out "$BUILD_DIR/BENCH_workload_churn.json"
   require_bench_json "$BUILD_DIR/BENCH_workload_churn.json"
   grep -q '"scenario":"churn"' "$BUILD_DIR/BENCH_workload_churn.json"
   grep -q '"mismatches":0' "$BUILD_DIR/BENCH_workload_churn.json"
   grep -q '"failures":0' "$BUILD_DIR/BENCH_workload_churn.json"
   grep -q '"timeouts":0' "$BUILD_DIR/BENCH_workload_churn.json"
-  kill -TERM "$STEADY_PID"
-  wait "$STEADY_PID"
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID"
   trap - EXIT
 
   echo "--- loadgen: burst overload must provoke 429s AND 503 sheds"
   # One throttled worker behind a tight token bucket and a 1ms queue
   # deadline: the MMPP burst has to light up both pushback paths
   # (loadgen --expect-overload exits non-zero unless both counters moved).
-  BURST_LOG="$(mktemp)"
-  "$BUILD_DIR/reptile_serve" --demo --port 0 --http-threads 1 \
-      --rate-limit-rps 150 --rate-limit-burst 50 --queue-deadline-ms 1 \
-      > "$BURST_LOG" 2>&1 &
-  BURST_PID=$!
-  trap 'kill -9 "$BURST_PID" 2>/dev/null || true' EXIT
-  BPORT=""
-  for _ in $(seq 1 100); do
-    BPORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$BURST_LOG")"
-    [[ -n "$BPORT" ]] && break
-    kill -0 "$BURST_PID" 2>/dev/null || { cat "$BURST_LOG"; exit 1; }
-    sleep 0.1
-  done
-  [[ -n "$BPORT" ]] || { echo "burst server never reported its port"; cat "$BURST_LOG"; exit 1; }
-  "$BUILD_DIR/reptile_loadgen" --port "$BPORT" --scenario burst --seed 42 \
+  start_server "burst server" --http-threads 1 \
+      --rate-limit-rps 150 --rate-limit-burst 50 --queue-deadline-ms 1
+  "$BUILD_DIR/reptile_loadgen" --port "$PORT" --scenario burst --seed 42 \
     --workers 24 --expect-overload --out "$BUILD_DIR/BENCH_workload_burst.json"
   require_bench_json "$BUILD_DIR/BENCH_workload_burst.json"
   grep -q '"scenario":"burst"' "$BUILD_DIR/BENCH_workload_burst.json"
@@ -346,11 +326,11 @@ if [[ "${REPTILE_SKIP_SMOKE:-0}" != "1" ]]; then
   # the queue deadline never sheds. Here-strings, not `echo | grep -q`: grep
   # -q exits at its first match, and under pipefail an echo still writing
   # the rest then dies with SIGPIPE.
-  METRICS="$(curl -fsS "http://127.0.0.1:$BPORT/metricsz")"
+  METRICS="$(curl -fsS "http://127.0.0.1:$PORT/metricsz")"
   grep -Eq 'reptile_transport_requests_rate_limited [1-9]' <<< "$METRICS"
   grep -Eq 'reptile_transport_requests_shed [1-9]' <<< "$METRICS"
-  kill -TERM "$BURST_PID"
-  wait "$BURST_PID"
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID"
   trap - EXIT
 
   # The canonical two-scenario report: splice the per-run scenario objects

@@ -46,7 +46,7 @@ std::string FTreesSection(const PreparedDataset& dataset) {
   // the dataset as version 1 of a fresh chain (all-1 epochs; lineage is NOT
   // persisted), so the epoch component would be meaningless on disk.
   ByteWriter w;
-  std::vector<std::pair<SharedAggregateCache::Key, HierarchyAggregatesPtr>> persisted;
+  std::vector<std::pair<AggregateKey, HierarchyAggregatesPtr>> persisted;
   for (auto& item : dataset.cache().Items()) {
     const auto& [epoch, hierarchy, depth] = item.first;
     if (epoch != dataset.epochs().at(hierarchy, depth)) continue;
@@ -75,7 +75,7 @@ std::string ModelsSection(const PreparedDataset& dataset) {
       dataset.version_token().empty() ? std::string() : "|v:" + dataset.version_token();
   ByteWriter w;
   std::vector<std::pair<std::string, FittedModelPtr>> persisted;
-  for (auto& [key, model] : dataset.model_cache().CompletedEntries()) {
+  for (auto& [key, model] : dataset.model_cache().Items()) {
     // '#'-prefixed feature partitions are process-unique (custom features
     // have no content identity): no future process can ever compute such a
     // key, so persisting the entry would be dead weight.
@@ -147,7 +147,10 @@ Status LoadCaches(const SnapshotReader& reader, const PreparedDataset& dataset) 
       HierarchyAggregates built;
       built.tree = std::make_unique<FTree>(std::move(tree).value());
       built.locals = std::make_unique<LocalAggregates>(built.tree.get());
-      dataset.cache().Insert(hierarchy, depth, std::move(built));
+      const AggregateKey key(1, hierarchy, depth);  // a restored dataset is version 1
+      const size_t bytes = ApproxHierarchyAggregatesBytes(key, built);
+      dataset.cache().Insert(key, std::make_shared<const HierarchyAggregates>(std::move(built)),
+                             bytes);
     }
     if (!r.status().ok()) return r.status();
     if (!r.AtEnd()) return Status::ParseError("corrupt snapshot: trailing bytes in 'ftrees'");
@@ -168,7 +171,9 @@ Status LoadCaches(const SnapshotReader& reader, const PreparedDataset& dataset) 
         r.Fail("fitted-model entry with an unpersistable key");
         break;
       }
-      dataset.model_cache().Put(key, std::make_shared<const FittedModel>(std::move(model)));
+      const size_t bytes = ApproxFittedModelBytes(key, model);
+      dataset.model_cache().Insert(key, std::make_shared<const FittedModel>(std::move(model)),
+                                   bytes);
     }
     if (!r.status().ok()) return r.status();
     if (!r.AtEnd()) return Status::ParseError("corrupt snapshot: trailing bytes in 'models'");

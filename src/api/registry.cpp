@@ -102,7 +102,9 @@ int64_t PreparedDataset::model_cache_bytes() const {
   return static_cast<int64_t>(model_cache_->bytes());
 }
 int64_t PreparedDataset::model_cache_evictions() const { return model_cache_->evictions(); }
-int64_t PreparedDataset::model_cache_fits() const { return model_cache_->fits(); }
+int64_t PreparedDataset::model_cache_fits() const {
+  return model_cache_->misses();  // a miss is one fit
+}
 
 void PreparedDataset::SetCacheBudgetBytes(size_t total_bytes) const {
   size_t half = total_bytes / 2;

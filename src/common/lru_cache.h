@@ -1,44 +1,56 @@
-// Byte-accounted LRU cache with shared_ptr-based safe reclamation — the one
-// size-aware core both process-shared caches (factor/agg_cache.h,
-// factor/model_cache.h) are built on.
+// Byte-accounted, single-flight LRU cache with shared_ptr-based safe
+// reclamation — the one get-or-build every cached build in the engine goes
+// through: both process-shared caches (factor/agg_cache.h,
+// factor/model_cache.h) are this template, and so is the per-session cache
+// of the evicting drill-down policies (factor/drilldown.h).
 //
 // Contract:
+//  * GetOrBuild(key, build) is the one get-or-build. A resident key is a
+//    lookup and counts a hit. On a miss exactly one caller runs build()
+//    OUTSIDE the lock — a slow build never blocks lookups of other keys —
+//    publishes the value and counts the miss; concurrent callers for the
+//    key wait for that build and count a hit (they built nothing). A build
+//    that throws releases the key, so a later call retries; the callers
+//    waiting on it rethrow the exception and count nothing.
 //  * Values are held as shared_ptr<const Value>. Eviction drops only the
 //    cache's reference: a caller still holding the pointer keeps using the
 //    entry safely for as long as it likes ("in-flight holders survive
-//    eviction"). This deliberately REPLACES the old aggregate-cache promise
-//    that raw references stay valid forever — callers must hold owning
-//    handles across any window where eviction could run.
-//  * Insert() is insert-once: when two threads race to populate one key the
-//    first insert wins and the loser receives (and should adopt) the
+//    eviction"). Callers must hold owning handles across any window where
+//    eviction could run.
+//  * Insert() is insert-once: the first value to land for a key wins and
+//    every later Insert or build of it receives (and should adopt) the
 //    resident value, so deterministic builds stay canonical per key.
 //  * budget_bytes() is a hard ceiling on the bytes the cache itself retains
 //    (0 = unlimited). Inserting past it evicts least-recently-used entries
 //    until the accounted bytes fit — including, when a single entry exceeds
 //    the whole budget, the entry just inserted (the caller's shared_ptr
-//    still owns it; the cache just refuses to retain it).
-//  * Byte sizes are caller-supplied estimates (the cache cannot see into
-//    Value); they only need to be consistent, not exact.
+//    still owns it; the cache just refuses to retain it). Builds in flight
+//    are not accounted until they publish.
+//  * Byte sizes are estimates: kApproxBytes(key, value) for built entries,
+//    caller-supplied for Insert. They only need to be consistent, not exact.
 //  * Every method is thread-safe behind one mutex. Find() touches recency,
-//    so there is no shared/exclusive split — lookups are cheap map walks and
-//    the expensive work (builds, fits) always happens outside the cache.
-//  * hits/misses/evictions are monotonic; entries/bytes are gauges.
+//    so there is no shared/exclusive split — lookups are cheap map walks.
+//  * hits/misses/evictions are monotonic (misses == builds run);
+//    entries/bytes are gauges over resident entries.
 
 #ifndef REPTILE_COMMON_LRU_CACHE_H_
 #define REPTILE_COMMON_LRU_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <future>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 namespace reptile {
 
-template <typename Key, typename Value>
+template <typename Key, typename Value, size_t (*kApproxBytes)(const Key&, const Value&)>
 class LruByteCache {
  public:
   using ValuePtr = std::shared_ptr<const Value>;
@@ -48,18 +60,68 @@ class LruByteCache {
   LruByteCache(const LruByteCache&) = delete;
   LruByteCache& operator=(const LruByteCache&) = delete;
 
-  /// The resident value, touched most-recently-used; nullptr when absent.
-  /// Counts one hit or miss.
+  /// The value for `key`, running `build()` (which returns a Value) when it
+  /// is neither resident nor being built — see the file comment. The bool is
+  /// true iff THIS call ran the build; callers use it to attribute build
+  /// time and their own build counters.
+  template <typename Build>
+  std::pair<ValuePtr, bool> GetOrBuild(const Key& key, const Build& build) {
+    std::optional<std::promise<ValuePtr>> promise;  // engaged iff this call builds
+    std::shared_future<ValuePtr> pending;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (ValuePtr value = TouchLocked(key)) {
+        ++hits_;
+        return {std::move(value), false};
+      }
+      auto [it, inserted] = inflight_.try_emplace(key);
+      if (inserted) {
+        it->second = promise.emplace().get_future().share();
+        ++misses_;
+      } else {
+        pending = it->second;
+      }
+    }
+    if (pending.valid()) {
+      ValuePtr value = pending.get();  // blocks on the build; rethrows its failure
+      std::lock_guard<std::mutex> lock(mu_);
+      ++hits_;
+      return {std::move(value), false};
+    }
+
+    ValuePtr value;
+    try {
+      value = std::make_shared<const Value>(build());
+    } catch (...) {
+      // Release the key BEFORE publishing the failure: new arrivals retry
+      // fresh, only the callers already waiting on this build observe it.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        inflight_.erase(key);
+      }
+      promise->set_exception(std::current_exception());
+      throw;
+    }
+    const size_t bytes = kApproxBytes(key, *value);
+    {
+      // Publication is atomic with lookups: no caller sees the key in
+      // neither the resident nor the in-flight map.
+      std::lock_guard<std::mutex> lock(mu_);
+      inflight_.erase(key);
+      value = InsertLocked(key, std::move(value), bytes);
+    }
+    promise->set_value(value);
+    return {std::move(value), true};
+  }
+
+  /// The resident value, touched most-recently-used and counted as a hit;
+  /// nullptr when the key is absent or still being built, which counts
+  /// nothing — the GetOrBuild a caller follows up with counts the key.
   ValuePtr Find(const Key& key) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.pos);
-    return it->second.value;
+    ValuePtr value = TouchLocked(key);
+    if (value != nullptr) ++hits_;
+    return value;
   }
 
   /// Pure lookup: no recency touch, no counter — for introspection paths
@@ -70,23 +132,13 @@ class LruByteCache {
     return it == map_.end() ? nullptr : it->second.value;
   }
 
-  /// Insert-once: returns the resident value for `key` — `value` when this
-  /// call inserted it, the earlier value when another thread won the race
-  /// (the caller should adopt the returned pointer either way). `bytes` is
-  /// the entry's accounted size; inserting past the budget evicts from the
-  /// LRU tail.
+  /// Insert-once of an already-built value (a snapshot warm start): returns
+  /// the resident value — `value` when this call inserted it, the earlier
+  /// one otherwise. `bytes` is the entry's accounted size. Counts neither a
+  /// hit nor a miss: the build happened elsewhere.
   ValuePtr Insert(const Key& key, ValuePtr value, size_t bytes) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.pos);
-      return it->second.value;
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{value, bytes, lru_.begin()});
-    bytes_ += bytes;
-    EvictOverBudgetLocked();
-    return value;
+    return InsertLocked(key, std::move(value), bytes);
   }
 
   /// Drops the cache's reference to `key` (holders keep theirs). Returns
@@ -163,6 +215,22 @@ class LruByteCache {
     typename std::list<Key>::iterator pos;  // position in lru_
   };
 
+  ValuePtr TouchLocked(const Key& key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second.pos);
+    return it->second.value;
+  }
+
+  ValuePtr InsertLocked(const Key& key, ValuePtr value, size_t bytes) {
+    if (ValuePtr resident = TouchLocked(key)) return resident;
+    lru_.push_front(key);
+    map_.emplace(key, Entry{value, bytes, lru_.begin()});
+    bytes_ += bytes;
+    EvictOverBudgetLocked();
+    return value;
+  }
+
   void EvictOverBudgetLocked() {
     if (budget_ == 0) return;
     while (bytes_ > budget_ && !lru_.empty()) {
@@ -177,6 +245,9 @@ class LruByteCache {
   mutable std::mutex mu_;
   std::list<Key> lru_;  // front = most recently used
   std::map<Key, Entry> map_;
+  // Single-flight latch: one shared_future per key whose build is running.
+  // Each waiter copies the future out under the lock and blocks on its copy.
+  std::map<Key, std::shared_future<ValuePtr>> inflight_;
   size_t budget_ = 0;  // 0 = unlimited
   size_t bytes_ = 0;
   int64_t hits_ = 0;

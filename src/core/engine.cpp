@@ -290,9 +290,10 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   const double plan_start = trace != nullptr ? trace->ElapsedSeconds() : 0.0;
 
   // --- Plan stage: one shared plan per drillable hierarchy. The drill-down
-  // aggregates every plan will read are prefetched first (builds fan out;
-  // cache bookkeeping stays on this thread), after which plan assembly only
-  // reads the cache and the plans themselves assemble concurrently. ---
+  // aggregates every plan will read are prefetched first (resident entries
+  // are pinned on this thread, only absent ones fan out to builds), after
+  // which plan assembly only reads the pins and the plans themselves
+  // assemble concurrently. ---
   std::vector<int> drillable;
   for (int h = 0; h < dataset_->num_hierarchies(); ++h) {
     if (drill_state_.CanDrill(h)) drillable.push_back(h);
@@ -303,8 +304,8 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
     if (drill_state_.depth(k) == 0) continue;
     // A committed-depth entry is read only by the plans of *other*
     // hierarchies (BuildCandidatePlan skips k == h), so don't build entries
-    // nothing will read — it matches exactly what the lazy sequential path
-    // built, which matters under kStatic where every build is from scratch.
+    // nothing will read — which matters under kStatic, where every build is
+    // from scratch.
     bool read_by_some_plan =
         drillable.size() > 1 || (drillable.size() == 1 && drillable[0] != k);
     if (read_by_some_plan) aggregate_keys.emplace_back(k, drill_state_.depth(k));
@@ -402,7 +403,7 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
         if (!use_fit_cache) {
           return FitOutcome{std::make_shared<const FittedModel>(run()), true};
         }
-        auto [model, performed] = model_cache_->GetOrFit(
+        auto [model, performed] = model_cache_->GetOrBuild(
             FitCacheKey(spec, task.plan->hierarchy, task.measure_column, task.primitive),
             run);
         return FitOutcome{std::move(model), performed};

@@ -273,7 +273,6 @@ class Engine {
   int drill_depth(int hierarchy) const { return drill_state_.depth(hierarchy); }
   bool CanDrill(int hierarchy) const { return drill_state_.CanDrill(hierarchy); }
   const Dataset& dataset() const { return *dataset_; }
-  DrillDownState& drill_state() { return drill_state_; }
   const EngineOptions& options() const { return options_; }
   const EngineStats& stats() const { return stats_; }
   /// Aggregate (f-tree + locals) builds THIS engine performed; an engine

@@ -11,23 +11,12 @@ AggregateEpochs MakeUniformEpochs(const std::vector<int>& max_depths, int64_t ep
   return epochs;
 }
 
-size_t ApproxHierarchyAggregatesBytes(const HierarchyAggregates& aggregates) {
+size_t ApproxHierarchyAggregatesBytes(const AggregateKey& /*key*/,
+                                      const HierarchyAggregates& aggregates) {
   size_t total = sizeof(HierarchyAggregates) + 64;  // map/list node overhead
   if (aggregates.tree != nullptr) total += aggregates.tree->ApproxBytes();
   if (aggregates.locals != nullptr) total += aggregates.locals->ApproxBytes();
   return total;
-}
-
-HierarchyAggregatesPtr SharedAggregateCache::Find(int64_t epoch, int hierarchy,
-                                                  int depth) const {
-  return cache_.Find(Key(epoch, hierarchy, depth));
-}
-
-HierarchyAggregatesPtr SharedAggregateCache::Insert(int64_t epoch, int hierarchy, int depth,
-                                                    HierarchyAggregates built) {
-  size_t bytes = ApproxHierarchyAggregatesBytes(built);
-  auto entry = std::make_shared<const HierarchyAggregates>(std::move(built));
-  return cache_.Insert(Key(epoch, hierarchy, depth), std::move(entry), bytes);
 }
 
 }  // namespace reptile

@@ -15,21 +15,19 @@
 // deliberate: it is strictly finer-grained sharing. Two sessions whose drill
 // states differ still share every per-hierarchy entry they have in common.
 //
-// Concurrency and reclamation contract (changed from the append-only era):
-//  * Entries are immutable once inserted and handed out as
-//    shared_ptr<const HierarchyAggregates>. The cache is LRU-by-bytes
-//    (common/lru_cache.h): under a budget, cold entries are EVICTED, so the
-//    old "references stay valid for the cache's lifetime" promise is gone.
-//    Callers must hold the shared_ptr across every window they dereference
-//    the entry — DrillDownState pins entries per invocation so the engine's
-//    raw per-plan pointers stay valid for exactly one batch.
-//  * Insert() is insert-once: when two sessions race to build the same key,
-//    the first insert wins and the loser adopts the resident
-//    (bit-identical — builds are deterministic functions of the immutable
-//    table) entry. Builds happen OUTSIDE the cache so a slow build never
-//    blocks readers.
-//  * hits()/misses()/evictions() are monotonic counters; entries()/bytes()
-//    are gauges — all summed over datasets on /metricsz.
+// The cache is LruByteCache (common/lru_cache.h) itself, so it has that
+// template's one contract:
+//  * GetOrBuild is single-flight: N sessions drilling to one absent
+//    (hierarchy, depth) at once build it exactly once between them — the
+//    first builds outside the lock, the rest wait and count a hit.
+//  * Entries are immutable once published and handed out as
+//    shared_ptr<const HierarchyAggregates>. Under a byte budget cold entries
+//    are EVICTED, so callers must hold the shared_ptr across every window
+//    they dereference the entry — DrillDownState pins entries per invocation
+//    so the engine's raw per-plan pointers stay valid for exactly one batch.
+//  * hits()/misses()/evictions() are monotonic counters (a miss is one
+//    build); entries()/bytes() are gauges — all summed over datasets on
+//    /metricsz.
 
 #ifndef REPTILE_FACTOR_AGG_CACHE_H_
 #define REPTILE_FACTOR_AGG_CACHE_H_
@@ -38,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/lru_cache.h"
@@ -67,9 +64,7 @@ struct AggregateEpochs {
 /// hierarchy h's attribute count.
 AggregateEpochs MakeUniformEpochs(const std::vector<int>& max_depths, int64_t epoch);
 
-/// A hierarchy's f-tree and local aggregates at one depth (moved here from
-/// factor/drilldown.h so both the shared cache and the per-session state can
-/// speak it).
+/// A hierarchy's f-tree and local aggregates at one depth.
 struct HierarchyAggregates {
   std::unique_ptr<FTree> tree;
   std::unique_ptr<LocalAggregates> locals;
@@ -77,67 +72,20 @@ struct HierarchyAggregates {
 
 using HierarchyAggregatesPtr = std::shared_ptr<const HierarchyAggregates>;
 
+/// Cache key: (dirty epoch, hierarchy, depth). The epoch component is the
+/// dataset version that last dirtied the (hierarchy, depth) — see
+/// AggregateEpochs. Version chains share one cache object, so clean entries
+/// collide (shared) across versions and dirty ones diverge (invalidated)
+/// with no explicit flush.
+using AggregateKey = std::tuple<int64_t, int, int>;
+
 /// Accounted size of one cache entry (tree + ancestor tables + overhead).
-size_t ApproxHierarchyAggregatesBytes(const HierarchyAggregates& aggregates);
+size_t ApproxHierarchyAggregatesBytes(const AggregateKey& key,
+                                      const HierarchyAggregates& aggregates);
 
-class SharedAggregateCache {
- public:
-  /// Cache key: (dirty epoch, hierarchy, depth). The epoch component is the
-  /// dataset version that last dirtied the (hierarchy, depth) — see
-  /// AggregateEpochs. Version chains share one cache object, so clean
-  /// entries collide (shared) across versions and dirty ones diverge
-  /// (invalidated) with no explicit flush.
-  using Key = std::tuple<int64_t, int, int>;
-
-  SharedAggregateCache() = default;
-
-  SharedAggregateCache(const SharedAggregateCache&) = delete;
-  SharedAggregateCache& operator=(const SharedAggregateCache&) = delete;
-
-  /// The resident entry (touched most-recently-used), or nullptr. The
-  /// returned shared_ptr keeps the entry alive across eviction. Counts one
-  /// hit or miss.
-  HierarchyAggregatesPtr Find(int64_t epoch, int hierarchy, int depth) const;
-
-  /// Insert-once: returns the resident entry — the one just built when this
-  /// call inserted it, or the previously inserted (deterministically
-  /// identical) entry when another session won the race. May evict
-  /// least-recently-used entries when a byte budget is set.
-  HierarchyAggregatesPtr Insert(int64_t epoch, int hierarchy, int depth,
-                                HierarchyAggregates built);
-
-  /// Epoch-1 conveniences: the whole cache when only one (v1) version ever
-  /// exists — unversioned tests and tools.
-  HierarchyAggregatesPtr Find(int hierarchy, int depth) const {
-    return Find(1, hierarchy, depth);
-  }
-  HierarchyAggregatesPtr Insert(int hierarchy, int depth, HierarchyAggregates built) {
-    return Insert(1, hierarchy, depth, std::move(built));
-  }
-
-  /// LRU byte budget; 0 (the default) = unlimited. Shrinking evicts
-  /// immediately.
-  void set_budget_bytes(size_t budget) { cache_.set_budget_bytes(budget); }
-  size_t budget_bytes() const { return cache_.budget_bytes(); }
-
-  /// Gauges and monotonic counters.
-  int64_t entries() const { return cache_.entries(); }
-  size_t bytes() const { return cache_.bytes(); }
-  int64_t hits() const { return cache_.hits(); }
-  int64_t misses() const { return cache_.misses(); }
-  int64_t evictions() const { return cache_.evictions(); }
-
-  /// Keys currently cached, sorted — for introspection, tests, snapshots.
-  std::vector<Key> Keys() const { return cache_.Keys(); }
-
-  /// Resident entries, sorted by key — the snapshot-save walk.
-  std::vector<std::pair<Key, HierarchyAggregatesPtr>> Items() const {
-    return cache_.Items();
-  }
-
- private:
-  // mutable: Find() is logically const but touches LRU recency.
-  mutable LruByteCache<Key, HierarchyAggregates> cache_;
+/// A class rather than an alias so api/registry.h can forward-declare it.
+class SharedAggregateCache
+    : public LruByteCache<AggregateKey, HierarchyAggregates, &ApproxHierarchyAggregatesBytes> {
 };
 
 }  // namespace reptile

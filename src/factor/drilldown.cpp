@@ -1,6 +1,7 @@
 #include "factor/drilldown.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -11,10 +12,24 @@ namespace reptile {
 DrillDownState::DrillDownState(const Dataset* dataset, Mode mode,
                                SharedAggregateCache* shared_cache,
                                const AggregateEpochs* epochs)
-    : dataset_(dataset), mode_(mode), shared_cache_(shared_cache), epochs_(epochs) {
+    : dataset_(dataset), mode_(mode), epochs_(epochs) {
   REPTILE_CHECK(dataset != nullptr);
+  if (mode == Mode::kCacheDynamic && shared_cache != nullptr) {
+    cache_ = shared_cache;
+  } else {
+    owned_cache_ = std::make_unique<SharedAggregateCache>();
+    cache_ = owned_cache_.get();
+  }
   committed_depth_.assign(dataset->num_hierarchies(), 0);
   invocation_build_seconds_.assign(dataset->num_hierarchies(), 0.0);
+}
+
+HierarchyAggregates DrillDownState::Build(const Dataset& dataset, int hierarchy, int depth) {
+  HierarchyAggregates out;
+  std::vector<int> columns = dataset.HierarchyColumns(hierarchy, depth);
+  out.tree = std::make_unique<FTree>(FTree::FromTable(dataset.table(), columns));
+  out.locals = std::make_unique<LocalAggregates>(out.tree.get());
+  return out;
 }
 
 int DrillDownState::max_depth(int hierarchy) const {
@@ -27,127 +42,74 @@ bool DrillDownState::CanDrill(int hierarchy) const {
 
 void DrillDownState::BeginInvocation() {
   std::fill(invocation_build_seconds_.begin(), invocation_build_seconds_.end(), 0.0);
-  if (SharedCache() != nullptr) {
-    // Shared mode: held_ is only the previous invocation's pin set. Release
-    // it so LRU-evicted entries actually free; everything still resident in
-    // the shared cache is re-pinned (a cheap Find) as it is touched.
-    held_.clear();
-    return;
-  }
-  switch (mode_) {
-    case Mode::kStatic:
-      held_.clear();
-      break;
-    case Mode::kDynamic: {
-      // Keep only committed depths (hierarchy independence lets their global
-      // aggregates be reused with O(1) scalar updates); candidate depths are
-      // rebuilt on demand.
-      for (auto it = held_.begin(); it != held_.end();) {
-        auto [hierarchy, depth] = it->first;
-        if (depth != committed_depth_[hierarchy]) {
-          it = held_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      break;
+  pinned_.clear();
+  if (owned_cache_ == nullptr || mode_ == Mode::kCacheDynamic) return;
+  // kStatic keeps nothing; kDynamic keeps only committed depths (hierarchy
+  // independence lets their global aggregates be reused with O(1) scalar
+  // updates), so candidate depths are rebuilt on demand.
+  for (const AggregateKey& key : owned_cache_->Keys()) {
+    const int hierarchy = std::get<1>(key);
+    if (mode_ == Mode::kStatic || std::get<2>(key) != committed_depth_[hierarchy]) {
+      owned_cache_->Erase(key);
     }
-    case Mode::kCacheDynamic:
-      break;  // private kCacheDynamic keeps everything forever
   }
-}
-
-const HierarchyAggregates& DrillDownState::Pin(std::pair<int, int> key,
-                                               HierarchyAggregatesPtr entry) {
-  return *held_.insert_or_assign(key, std::move(entry)).first->second;
-}
-
-const HierarchyAggregates& DrillDownState::Get(int hierarchy, int depth) {
-  REPTILE_CHECK(depth >= 1 && depth <= max_depth(hierarchy));
-  auto key = std::make_pair(hierarchy, depth);
-  auto it = held_.find(key);
-  if (it != held_.end()) return *it->second;
-  if (SharedAggregateCache* shared = SharedCache()) {
-    if (HierarchyAggregatesPtr entry = shared->Find(EpochOf(hierarchy, depth), hierarchy, depth)) {
-      return Pin(key, std::move(entry));
-    }
-    Timer timer;
-    HierarchyAggregates built = Build(hierarchy, depth);
-    invocation_build_seconds_[hierarchy] += timer.Seconds();
-    ++total_builds_;  // this session did the work, even if it loses the insert race
-    return Pin(key, shared->Insert(EpochOf(hierarchy, depth), hierarchy, depth,
-                                   std::move(built)));
-  }
-  Timer timer;
-  HierarchyAggregates built = Build(hierarchy, depth);
-  invocation_build_seconds_[hierarchy] += timer.Seconds();
-  ++total_builds_;
-  return Pin(key, std::make_shared<const HierarchyAggregates>(std::move(built)));
 }
 
 std::map<std::pair<int, int>, double> DrillDownState::Prefetch(
     const std::vector<std::pair<int, int>>& keys, ThreadPool* pool) {
-  SharedAggregateCache* shared = SharedCache();
-  // Deduplicated keys missing from the pin set, in deterministic (sorted)
-  // order so task indices are scheduling-independent. A shared-cache hit is
-  // pinned right here — the pin, not the cache, is what guarantees the key
-  // survives until the batch's Peek()s are done.
-  std::vector<std::pair<int, int>> missing = keys;
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  std::erase_if(missing, [&](const std::pair<int, int>& key) {
+  // Deduplicated keys not yet pinned, in deterministic (sorted) order so
+  // task indices are scheduling-independent. A resident key is pinned right
+  // here — the pin, not the cache, is what guarantees the key survives
+  // until the batch's Peek()s are done.
+  std::vector<std::pair<int, int>> absent = keys;
+  std::sort(absent.begin(), absent.end());
+  absent.erase(std::unique(absent.begin(), absent.end()), absent.end());
+  std::erase_if(absent, [&](const std::pair<int, int>& key) {
     REPTILE_CHECK(key.second >= 1 && key.second <= max_depth(key.first));
-    if (held_.find(key) != held_.end()) return true;
-    if (shared == nullptr) return false;
-    if (HierarchyAggregatesPtr entry =
-            shared->Find(EpochOf(key.first, key.second), key.first, key.second)) {
-      Pin(key, std::move(entry));
-      return true;
-    }
-    return false;
+    if (pinned_.find(key) != pinned_.end()) return true;
+    HierarchyAggregatesPtr entry = cache_->Find(CacheKey(key));
+    if (entry == nullptr) return false;
+    pinned_.emplace(key, std::move(entry));
+    return true;
   });
 
-  // Parallel region: builds only; no shared state is touched.
-  struct BuiltEntry {
-    HierarchyAggregates aggregates;
+  // Parallel region: one GetOrBuild per absent key; this state's members
+  // are not touched.
+  struct Fetched {
+    HierarchyAggregatesPtr entry;
+    bool built = false;
     double seconds = 0.0;
   };
-  std::vector<BuiltEntry> built =
-      ParallelMap<BuiltEntry>(pool, static_cast<int64_t>(missing.size()), [&](int64_t i) {
-        Timer timer;
-        BuiltEntry entry;
-        entry.aggregates = Build(missing[static_cast<size_t>(i)].first,
-                                 missing[static_cast<size_t>(i)].second);
-        entry.seconds = timer.Seconds();
-        return entry;
+  std::vector<Fetched> fetched =
+      ParallelMap<Fetched>(pool, static_cast<int64_t>(absent.size()), [&](int64_t i) {
+        const std::pair<int, int> key = absent[static_cast<size_t>(i)];
+        Fetched out;
+        std::tie(out.entry, out.built) = cache_->GetOrBuild(CacheKey(key), [&] {
+          Timer timer;
+          HierarchyAggregates aggregates = Build(*dataset_, key.first, key.second);
+          out.seconds = timer.Seconds();
+          return aggregates;
+        });
+        return out;
       });
 
-  // Sequential epilogue: cache insertion, pinning, and the Figure 9
-  // accounting. Another session may have inserted a key concurrently;
-  // SharedAggregateCache::Insert keeps the first copy (we adopt it) and we
-  // still charge ourselves for the build we did.
+  // Sequential epilogue: pinning and the Figure 9 accounting.
   std::map<std::pair<int, int>, double> build_seconds;
-  for (size_t i = 0; i < missing.size(); ++i) {
-    invocation_build_seconds_[missing[i].first] += built[i].seconds;
+  for (size_t i = 0; i < absent.size(); ++i) {
+    pinned_.emplace(absent[i], std::move(fetched[i].entry));
+    if (!fetched[i].built) continue;
+    invocation_build_seconds_[absent[i].first] += fetched[i].seconds;
     ++total_builds_;
-    if (shared != nullptr) {
-      Pin(missing[i],
-          shared->Insert(EpochOf(missing[i].first, missing[i].second), missing[i].first,
-                         missing[i].second, std::move(built[i].aggregates)));
-    } else {
-      Pin(missing[i],
-          std::make_shared<const HierarchyAggregates>(std::move(built[i].aggregates)));
-    }
-    build_seconds[missing[i]] = built[i].seconds;
+    build_seconds[absent[i]] = fetched[i].seconds;
   }
   return build_seconds;
 }
 
 const HierarchyAggregates& DrillDownState::Peek(int hierarchy, int depth) const {
-  auto it = held_.find(std::make_pair(hierarchy, depth));
-  REPTILE_CHECK(it != held_.end())
+  auto it = pinned_.find(std::make_pair(hierarchy, depth));
+  REPTILE_CHECK(it != pinned_.end())
       << "drill-down aggregates (" << hierarchy << ", " << depth
-      << ") read before being prefetched or built";
+      << ") read before being prefetched";
   return *it->second;
 }
 
@@ -161,13 +123,5 @@ double DrillDownState::InvocationBuildSeconds(int hierarchy) const {
 }
 
 void DrillDownState::ResetStats() { total_builds_ = 0; }
-
-HierarchyAggregates DrillDownState::Build(int hierarchy, int depth) {
-  HierarchyAggregates out;
-  std::vector<int> columns = dataset_->HierarchyColumns(hierarchy, depth);
-  out.tree = std::make_unique<FTree>(FTree::FromTable(dataset_->table(), columns));
-  out.locals = std::make_unique<LocalAggregates>(out.tree.get());
-  return out;
-}
 
 }  // namespace reptile

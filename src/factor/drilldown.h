@@ -15,25 +15,25 @@
 //                   previous invocations (Section 4.4: hierarchies evaluated
 //                   but not picked are free next time).
 //
-// Since the dataset/session split, DrillDownState is only the CHEAP per-user
-// half of the drill-down machinery: the committed-depth vector, the eviction
-// policy, and build accounting. The EXPENSIVE half — the (hierarchy, depth)
-// aggregate entries themselves — can live in a process-shared
-// SharedAggregateCache (factor/agg_cache.h) hanging off a PreparedDataset,
-// so N sessions over one dataset build each entry once between them.
-// Drilling copies nothing ("copy-on-drill"): Commit() bumps this session's
-// depth integer while the aggregates stay shared.
+// DrillDownState is only the CHEAP per-user half of the drill-down
+// machinery: the committed-depth vector, the eviction policy, and build
+// accounting. The EXPENSIVE half — the (hierarchy, depth) aggregate entries
+// themselves — always lives in a SharedAggregateCache (factor/agg_cache.h),
+// and every entry is read through its single-flight GetOrBuild:
+//  * kCacheDynamic with a borrowed cache: the process-shared one hanging off
+//    a PreparedDataset, so N sessions over one dataset build each entry once
+//    between them. Drilling copies nothing ("copy-on-drill"): Commit() bumps
+//    this session's depth integer while the aggregates stay shared.
+//  * otherwise: a cache this state owns. BeginInvocation erases its entries
+//    as the policy requires — all of them under kStatic, the non-committed
+//    depths under kDynamic, none under kCacheDynamic.
 //
-// Pinning (the owning-handle side of the LRU-cache refactor): every entry
-// this state hands out is held in `held_` as a
-// shared_ptr<const HierarchyAggregates>. In private modes held_ IS the
-// session cache; with a shared cache it is the per-invocation PIN SET — the
-// entries Get/Prefetch touched since the last BeginInvocation. The shared
-// cache may evict any entry at any time under a byte budget, but a pinned
-// entry stays alive until the next BeginInvocation, so the references (and
-// the engine's raw per-plan pointers derived from them) stay valid for
-// exactly one batch. BeginInvocation drops the pins, letting evicted
-// entries actually free.
+// Pinning: every entry an invocation touches is held in `pinned_` as a
+// shared_ptr<const HierarchyAggregates>. The cache may evict any entry at
+// any time under a byte budget, but a pinned entry stays alive until the
+// next BeginInvocation, so the references Peek() returns (and the engine's
+// raw per-plan pointers derived from them) stay valid for exactly one
+// batch. BeginInvocation drops the pins, letting evicted entries free.
 
 #ifndef REPTILE_FACTOR_DRILLDOWN_H_
 #define REPTILE_FACTOR_DRILLDOWN_H_
@@ -50,23 +50,28 @@ namespace reptile {
 
 class ThreadPool;  // parallel/thread_pool.h
 
-/// Per-session drill-down state: committed depths plus either a borrowed
-/// shared aggregate cache or a private one.
+/// Per-session drill-down state: committed depths plus the aggregate cache
+/// it reads through (a borrowed shared one or its own).
 class DrillDownState {
  public:
   enum class Mode { kStatic, kDynamic, kCacheDynamic };
 
-  /// `shared_cache` may be nullptr (fully private state, the pre-registry
-  /// behavior). A non-null shared cache is borrowed — the caller (Engine via
-  /// its DatasetHandle) must keep it alive — and is only consulted under
-  /// kCacheDynamic; the evicting policies stay private by design. `epochs`
-  /// (also borrowed, may be nullptr = every epoch 1) selects which dataset
+  /// `shared_cache` may be nullptr (the state owns its cache). A non-null
+  /// shared cache is borrowed — the caller (Engine via its DatasetHandle)
+  /// must keep it alive — and is only read under kCacheDynamic; the
+  /// evicting policies always run on a cache of their own. `epochs` (also
+  /// borrowed, may be nullptr = every epoch 1) selects which dataset
   /// version's entries this state reads in the shared cache: clean
   /// (hierarchy, depth) keys coincide with the parent version's, dirty ones
   /// carry this version's id (see AggregateEpochs).
   DrillDownState(const Dataset* dataset, Mode mode,
                  SharedAggregateCache* shared_cache = nullptr,
                  const AggregateEpochs* epochs = nullptr);
+
+  /// The one (hierarchy, depth) build: the f-tree over the hierarchy's first
+  /// `depth` attributes and its local aggregates. Deterministic in the
+  /// table, so every cache that builds a key holds identical bits.
+  static HierarchyAggregates Build(const Dataset& dataset, int hierarchy, int depth);
 
   /// Committed drill depth of a hierarchy (0 = not drilled yet).
   int depth(int hierarchy) const { return committed_depth_[hierarchy]; }
@@ -77,30 +82,26 @@ class DrillDownState {
   /// True when the hierarchy has at least one undrilled attribute left.
   bool CanDrill(int hierarchy) const;
 
-  /// Marks the start of a Reptile invocation, applying the eviction policy —
-  /// and, in shared-cache mode, releasing the previous invocation's pins.
+  /// Marks the start of a Reptile invocation: releases the previous
+  /// invocation's pins and applies the eviction policy to an owned cache.
   void BeginInvocation();
 
-  /// Trees + local aggregates for `hierarchy` at `depth` levels (1-based
-  /// count of attributes), building them if the policy requires. The
-  /// returned reference is pinned in this state until the next
-  /// BeginInvocation (private modes: until the policy evicts it).
-  const HierarchyAggregates& Get(int hierarchy, int depth);
-
-  /// Builds every (hierarchy, depth) entry of `keys` missing from the cache,
-  /// fanning the builds out across `pool` (nullptr = build inline), and pins
-  /// every key — shared-cache hits included — for the invocation. The
-  /// builds themselves run concurrently; all cache bookkeeping happens on
-  /// the calling thread, so after Prefetch returns, Peek() for these keys is
-  /// a pure read and safe to call from many threads at once. Returns the
-  /// build seconds per key actually built (cache hits are absent).
+  /// Pins every (hierarchy, depth) entry of `keys` for the invocation. A
+  /// resident key is found and pinned on the calling thread; only absent
+  /// keys fan out across `pool` (nullptr = inline), each through the
+  /// cache's single-flight GetOrBuild — so a warm batch never queues its
+  /// lookups behind other work on the pool, and a key another session is
+  /// building meanwhile is waited for, not built twice. All pinning happens
+  /// on the calling thread, so after Prefetch returns, Peek() for these keys
+  /// is a pure read and safe to call from many threads at once. Returns the
+  /// build seconds per key this call built (every other key is absent).
   std::map<std::pair<int, int>, double> Prefetch(
       const std::vector<std::pair<int, int>>& keys, ThreadPool* pool);
 
-  /// Pure read of a pinned entry (aborts when absent — i.e. when neither
-  /// Get nor Prefetch touched the key since the last BeginInvocation).
-  /// Const, lock-free, never builds and never touches the shared cache, so
-  /// it is safe to call concurrently from many worker threads.
+  /// Pure read of a pinned entry (aborts when absent — i.e. when Prefetch
+  /// has not pinned the key since the last BeginInvocation). Const,
+  /// lock-free, never builds and never touches the cache, so it is safe to
+  /// call concurrently from many worker threads.
   const HierarchyAggregates& Peek(int hierarchy, int depth) const;
 
   /// Commits a drill-down on `hierarchy` (advances its depth by one).
@@ -116,36 +117,24 @@ class DrillDownState {
   int64_t total_builds() const { return total_builds_; }
   void ResetStats();
 
-  /// The shared cache consulted by this state, or nullptr when private.
-  const SharedAggregateCache* shared_cache() const { return SharedCache(); }
-
  private:
-  /// The shared cache, or nullptr when this state runs on its private map
-  /// (no cache handed in, or an evicting policy).
-  SharedAggregateCache* SharedCache() const {
-    return mode_ == Mode::kCacheDynamic ? shared_cache_ : nullptr;
-  }
-
-  /// Pins `entry` under `key` and returns the resident reference.
-  const HierarchyAggregates& Pin(std::pair<int, int> key, HierarchyAggregatesPtr entry);
-
-  /// The epoch the shared cache is keyed with for (hierarchy, depth).
-  int64_t EpochOf(int hierarchy, int depth) const {
-    return epochs_ == nullptr ? 1 : epochs_->at(hierarchy, depth);
+  /// The cache key of (hierarchy, depth): its dirty epoch, then the pair.
+  AggregateKey CacheKey(std::pair<int, int> key) const {
+    return {epochs_ == nullptr ? 1 : epochs_->at(key.first, key.second), key.first,
+            key.second};
   }
 
   const Dataset* dataset_;
   Mode mode_;
-  SharedAggregateCache* shared_cache_;  // borrowed; may be nullptr
-  const AggregateEpochs* epochs_;       // borrowed; may be nullptr (all 1s)
+  const AggregateEpochs* epochs_;  // borrowed; may be nullptr (all 1s)
+  // Set unless the state reads a borrowed shared cache (see file comment).
+  std::unique_ptr<SharedAggregateCache> owned_cache_;
+  SharedAggregateCache* cache_;  // the borrowed shared cache or owned_cache_
   std::vector<int> committed_depth_;
-  // Private modes: the session cache. Shared mode: the per-invocation pin
-  // set keeping shared entries alive across LRU eviction (see file comment).
-  std::map<std::pair<int, int>, HierarchyAggregatesPtr> held_;
+  // The per-invocation pin set keeping entries alive across LRU eviction.
+  std::map<std::pair<int, int>, HierarchyAggregatesPtr> pinned_;
   std::vector<double> invocation_build_seconds_;
   int64_t total_builds_ = 0;
-
-  HierarchyAggregates Build(int hierarchy, int depth);
 };
 
 }  // namespace reptile

@@ -28,8 +28,9 @@ namespace reptile {
 Matrix FactorizedGram(const FactorizedMatrix& fm, const DecomposedAggregates& agg);
 
 /// Leaf-weighted column sum WS = sum_node lc(node) * f(value(node)) for a
-/// single-attribute column; exposed for reuse by the left-multiplication and
-/// the LMFAO-style baseline.
+/// single-attribute column: the per-column factor of FactorizedGram's
+/// cross-hierarchy cells. Declared here so its unit test can check it
+/// against the definition; FactorizedGram is its only caller.
 double WeightedColumnSum(const FactorizedMatrix& fm, int column);
 
 }  // namespace reptile

@@ -146,6 +146,12 @@ void DenseEmBackend::ZTimesB(const ClusterTable& /*table*/, const Matrix& b,
 
 namespace {
 
+// Floor on the residual variance sigma^2, so the EM updates never divide by
+// zero on a perfect fit.
+constexpr double kMinSigma2 = 1e-9;
+// Ridge added to the Gram diagonal before the fixed-effect solve.
+constexpr double kRidge = 1e-9;
+
 // One fused pass over the rows after each fixed-effect update: the residual
 // r = y - X beta, rss = r^T r, rzb = r^T (Z b), and r's running prefix
 // (RunningPrefix's sums, which ZtR reads for inter columns). r itself is
@@ -191,7 +197,7 @@ MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<doub
   // X^T X and X_i^T X_i").
   Matrix gram = backend->Gram();
   Matrix gram_ridged = gram;
-  for (int i = 0; i < m; ++i) gram_ridged(i, i) += options.ridge;
+  for (int i = 0; i < m; ++i) gram_ridged(i, i) += kRidge;
   Matrix gram_inv = InverseSymmetricRidge(gram_ridged);
   const ClusterTable table = backend->BuildClusterTable();
   REPTILE_CHECK_EQ(table.num_clusters(), num_clusters);
@@ -214,7 +220,7 @@ MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<doub
   double rss = 0.0;
   double rzb = 0.0;
   ResidualPass(y, xb, zb, &r, &prefix, &rss, &rzb);
-  model.sigma2 = std::max(options.min_sigma2, rss / static_cast<double>(std::max<int64_t>(n, 1)));
+  model.sigma2 = std::max(kMinSigma2, rss / static_cast<double>(std::max<int64_t>(n, 1)));
   model.sigma_b = Matrix::Identity(q).Scale(model.sigma2);
   model.b = Matrix(static_cast<size_t>(num_clusters), q);
 
@@ -270,7 +276,7 @@ MultiLevelModel TrainMultiLevel(const EmBackend* backend, const std::vector<doub
     backend->XTimes(model.beta, &xb);
     ResidualPass(y, xb, zb, &r, &prefix, &rss, &rzb);
     model.sigma2 = (rss + trace_term - 2.0 * rzb) / static_cast<double>(std::max<int64_t>(n, 1));
-    if (!(model.sigma2 > options.min_sigma2)) model.sigma2 = options.min_sigma2;
+    if (!(model.sigma2 > kMinSigma2)) model.sigma2 = kMinSigma2;
 
     // Early stop (ModelSpec::EmTolerance): the fixed effects have converged
     // within tolerance, so further iterations cannot change the repair

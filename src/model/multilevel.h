@@ -134,8 +134,6 @@ class DenseEmBackend : public EmBackend {
 /// every iteration, the bit-reproducible default.
 struct MultiLevelOptions {
   int em_iters = 20;
-  double min_sigma2 = 1e-9;
-  double ridge = 1e-9;
   double tolerance = 0.0;
 };
 

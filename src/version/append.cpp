@@ -8,7 +8,7 @@
 #include "data/dataset.h"
 #include "data/table.h"
 #include "factor/agg_cache.h"
-#include "factor/decomposed.h"
+#include "factor/drilldown.h"
 #include "factor/ftree.h"
 
 namespace reptile {
@@ -37,20 +37,16 @@ Status ValidateAppendHeader(const Table& parent, const std::string& csv_text,
 }
 
 // Full-depth parent f-tree for `hierarchy`, through the shared cache at the
-// parent's epoch: a cold lookup builds the entry once (tree + locals, the
-// same shape DrillDownState::Build produces) and leaves it resident, where
-// the parent's own sessions can hit it afterwards.
+// parent's epoch: a cold lookup builds the entry once (DrillDownState::Build,
+// as a session would) and leaves it resident, where the parent's own
+// sessions can hit it afterwards.
 HierarchyAggregatesPtr ParentFullDepthEntry(const PreparedDataset& parent, int hierarchy) {
-  int depth = parent.data().hierarchy(hierarchy).depth();
-  int64_t epoch = parent.epochs().at(hierarchy, depth);
-  if (HierarchyAggregatesPtr entry = parent.cache().Find(epoch, hierarchy, depth)) {
-    return entry;
-  }
-  std::vector<int> columns = parent.data().HierarchyColumns(hierarchy, depth);
-  HierarchyAggregates built;
-  built.tree = std::make_unique<FTree>(FTree::FromTable(parent.table(), columns));
-  built.locals = std::make_unique<LocalAggregates>(built.tree.get());
-  return parent.cache().Insert(epoch, hierarchy, depth, std::move(built));
+  const Dataset& data = parent.data();
+  const int depth = data.hierarchy(hierarchy).depth();
+  const AggregateKey key(parent.epochs().at(hierarchy, depth), hierarchy, depth);
+  return parent.cache()
+      .GetOrBuild(key, [&] { return DrillDownState::Build(data, hierarchy, depth); })
+      .first;
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 // Tests for factor/drilldown: the three caching policies and the correctness
-// of the trees/aggregates they return.
+// of the trees/aggregates they pin (read through Prefetch + Peek).
+
+#include <utility>
+#include <vector>
 
 #include "data/dataset.h"
 #include "factor/drilldown.h"
@@ -43,11 +46,12 @@ TEST(DrillDownState, DepthBookkeeping) {
 TEST(DrillDownState, BuildsCorrectTrees) {
   Dataset ds = MakeDataset();
   DrillDownState state(&ds, DrillDownState::Mode::kCacheDynamic);
-  const HierarchyAggregates& a2 = state.Get(0, 2);
+  state.Prefetch({{0, 2}, {1, 1}}, nullptr);
+  const HierarchyAggregates& a2 = state.Peek(0, 2);
   EXPECT_EQ(a2.tree->depth(), 2);
   EXPECT_EQ(a2.tree->num_leaves(), 3);  // (p,u), (p,v), (q,w)
   EXPECT_EQ(a2.locals->total(), 3);
-  const HierarchyAggregates& b1 = state.Get(1, 1);
+  const HierarchyAggregates& b1 = state.Peek(1, 1);
   EXPECT_EQ(b1.tree->num_leaves(), 3);  // x, y, z
 }
 
@@ -55,12 +59,10 @@ TEST(DrillDownState, CacheDynamicReusesEverything) {
   Dataset ds = MakeDataset();
   DrillDownState state(&ds, DrillDownState::Mode::kCacheDynamic);
   state.BeginInvocation();
-  state.Get(0, 1);
-  state.Get(1, 1);
+  state.Prefetch({{0, 1}, {1, 1}}, nullptr);
   EXPECT_EQ(state.total_builds(), 2);
   state.BeginInvocation();
-  state.Get(0, 1);
-  state.Get(1, 1);
+  state.Prefetch({{0, 1}, {1, 1}}, nullptr);
   EXPECT_EQ(state.total_builds(), 2);  // all cached
 }
 
@@ -68,12 +70,10 @@ TEST(DrillDownState, StaticRebuildsEachInvocation) {
   Dataset ds = MakeDataset();
   DrillDownState state(&ds, DrillDownState::Mode::kStatic);
   state.BeginInvocation();
-  state.Get(0, 1);
-  state.Get(1, 1);
+  state.Prefetch({{0, 1}, {1, 1}}, nullptr);
   EXPECT_EQ(state.total_builds(), 2);
   state.BeginInvocation();
-  state.Get(0, 1);
-  state.Get(1, 1);
+  state.Prefetch({{0, 1}, {1, 1}}, nullptr);
   EXPECT_EQ(state.total_builds(), 4);  // rebuilt
 }
 
@@ -81,15 +81,14 @@ TEST(DrillDownState, DynamicKeepsOnlyCommittedDepths) {
   Dataset ds = MakeDataset();
   DrillDownState state(&ds, DrillDownState::Mode::kDynamic);
   state.Commit(0);  // committed depth of A = 1
+  // (0, 1) is the committed depth: kept across invocations. (0, 2) and
+  // (1, 1) are candidate depths (B's committed depth is 0): evicted.
+  const std::vector<std::pair<int, int>> keys = {{0, 1}, {0, 2}, {1, 1}};
   state.BeginInvocation();
-  state.Get(0, 1);  // committed depth: kept across invocations
-  state.Get(0, 2);  // candidate depth: evicted
-  state.Get(1, 1);  // candidate depth (B committed depth is 0): evicted
+  state.Prefetch(keys, nullptr);
   EXPECT_EQ(state.total_builds(), 3);
   state.BeginInvocation();
-  state.Get(0, 1);
-  state.Get(0, 2);
-  state.Get(1, 1);
+  state.Prefetch(keys, nullptr);
   // Only the two candidate depths are rebuilt.
   EXPECT_EQ(state.total_builds(), 5);
 }
@@ -99,7 +98,7 @@ TEST(DrillDownState, InvocationBuildSecondsTracked) {
   DrillDownState state(&ds, DrillDownState::Mode::kStatic);
   state.BeginInvocation();
   EXPECT_DOUBLE_EQ(state.InvocationBuildSeconds(1), 0.0);
-  state.Get(1, 1);
+  state.Prefetch({{1, 1}}, nullptr);
   EXPECT_GE(state.InvocationBuildSeconds(1), 0.0);
   EXPECT_DOUBLE_EQ(state.InvocationBuildSeconds(0), 0.0);
 }

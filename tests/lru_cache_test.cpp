@@ -1,21 +1,27 @@
-// The LruByteCache contract both process-shared caches build on: byte
+// The LruByteCache contract every cached build goes through: byte
 // accounting against a hard budget, LRU eviction order, insert-once racing,
-// counter semantics, and — the safety property the shared_ptr design exists
-// for — holders surviving eviction.
+// single-flight GetOrBuild, counter semantics, and — the safety property the
+// shared_ptr design exists for — holders surviving eviction.
 
 #include "common/lru_cache.h"
 
+#include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "factor/agg_cache.h"
 #include "gtest/gtest.h"
 
 namespace reptile {
 namespace {
 
-using Cache = LruByteCache<std::string, std::string>;
+// A built string is accounted at its length.
+size_t StringBytes(const std::string& /*key*/, const std::string& value) { return value.size(); }
+
+using Cache = LruByteCache<std::string, std::string, &StringBytes>;
 
 std::shared_ptr<const std::string> Val(const std::string& s) {
   return std::make_shared<const std::string>(s);
@@ -23,8 +29,10 @@ std::shared_ptr<const std::string> Val(const std::string& s) {
 
 TEST(LruByteCache, FindCountsHitsAndMissesAndInsertAccountsBytes) {
   Cache cache;
+  // An absent Find counts nothing: the miss is counted once, by the
+  // GetOrBuild that follows it and builds.
   EXPECT_EQ(cache.Find("a"), nullptr);
-  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.misses(), 0);
   cache.Insert("a", Val("alpha"), 100);
   cache.Insert("b", Val("beta"), 50);
   EXPECT_EQ(cache.entries(), 2);
@@ -32,11 +40,20 @@ TEST(LruByteCache, FindCountsHitsAndMissesAndInsertAccountsBytes) {
   ASSERT_NE(cache.Find("a"), nullptr);
   EXPECT_EQ(*cache.Find("a"), "alpha");
   EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 0);
+  // GetOrBuild: a resident key is a hit; an absent one a miss and a build,
+  // accounted by the cache's byte function.
+  EXPECT_FALSE(cache.GetOrBuild("b", [] { return std::string("unused"); }).second);
+  auto [built, performed] = cache.GetOrBuild("c", [] { return std::string("gamma"); });
+  EXPECT_TRUE(performed);
+  EXPECT_EQ(*built, "gamma");
+  EXPECT_EQ(cache.hits(), 3);
   EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.bytes(), 155u);
   // Peek is invisible to the counters.
   EXPECT_NE(cache.Peek("b"), nullptr);
   EXPECT_EQ(cache.Peek("nope"), nullptr);
-  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.hits(), 3);
   EXPECT_EQ(cache.misses(), 1);
 }
 
@@ -137,6 +154,42 @@ TEST(LruByteCache, ConcurrentInsertersAgreeOnOneResidentValue) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t].get(), results[0].get());
   EXPECT_EQ(cache.entries(), 1);
   EXPECT_EQ(cache.bytes(), 10u);
+}
+
+// The single-flight guarantee, on the aggregate cache: N sessions drilling
+// to one absent (hierarchy, depth) at once. The build cannot finish before
+// every caller has arrived, so all N calls overlap it: only the first to
+// enter finds the key absent, the rest find it in flight (or, if slow,
+// already published).
+TEST(SharedAggregateCache, ConcurrentGetOrBuildBuildsOnce) {
+  SharedAggregateCache cache;
+  constexpr int kThreads = 8;
+  const AggregateKey key(1, 0, 2);
+  std::latch arrived(kThreads);
+  std::atomic<int> builds{0};
+  std::vector<HierarchyAggregatesPtr> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.count_down();
+      auto build = [&] {
+        builds.fetch_add(1);
+        arrived.wait();
+        return HierarchyAggregates();
+      };
+      results[t] = cache.GetOrBuild(key, build).first;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(builds.load(), 1);
+  for (const HierarchyAggregatesPtr& result : results) {
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result.get(), results[0].get());
+  }
+  EXPECT_EQ(cache.hits(), kThreads - 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.entries(), 1);
 }
 
 }  // namespace

@@ -81,13 +81,13 @@ TEST(SharedFittedModelCache, GetOrFitCachesAndCounts) {
     return FittedModel{{1.0, 2.0, 3.0}, 0.5};
   };
 
-  auto [first, first_performed] = cache.GetOrFit("k1", fit);
+  auto [first, first_performed] = cache.GetOrBuild("k1", fit);
   EXPECT_TRUE(first_performed);
   EXPECT_EQ(fit_calls, 1);
   EXPECT_EQ(first->fitted, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_DOUBLE_EQ(first->fit_seconds, 0.5);
 
-  auto [second, second_performed] = cache.GetOrFit("k1", fit);
+  auto [second, second_performed] = cache.GetOrBuild("k1", fit);
   EXPECT_FALSE(second_performed);
   EXPECT_EQ(fit_calls, 1);
   EXPECT_EQ(second.get(), first.get());  // the very same model object
@@ -95,11 +95,11 @@ TEST(SharedFittedModelCache, GetOrFitCachesAndCounts) {
   EXPECT_EQ(cache.entries(), 1);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.fits(), 1);
+  EXPECT_EQ(cache.misses(), fit_calls);  // a miss is one fit
   EXPECT_EQ(cache.Keys(), std::vector<std::string>{"k1"});
 
-  EXPECT_EQ(cache.Find("k1").get(), first.get());
-  EXPECT_EQ(cache.Find("absent"), nullptr);
+  EXPECT_EQ(cache.Peek("k1").get(), first.get());
+  EXPECT_EQ(cache.Peek("absent"), nullptr);
 }
 
 TEST(SharedFittedModelCache, SingleFlightUnderContention) {
@@ -111,7 +111,7 @@ TEST(SharedFittedModelCache, SingleFlightUnderContention) {
   std::vector<FittedModelPtr> results(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto [model, did_fit] = cache.GetOrFit("contended", [&] {
+      auto [model, did_fit] = cache.GetOrBuild("contended", [&] {
         fit_calls.fetch_add(1);
         // Widen the race window so waiters really block on the in-flight fit.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -125,7 +125,7 @@ TEST(SharedFittedModelCache, SingleFlightUnderContention) {
 
   EXPECT_EQ(fit_calls.load(), 1);  // exactly one fit, process-wide
   EXPECT_EQ(performed.load(), 1);
-  EXPECT_EQ(cache.fits(), 1);
+  EXPECT_EQ(cache.misses(), 1);  // a miss is one fit
   EXPECT_EQ(cache.hits(), kThreads - 1);
   for (const FittedModelPtr& result : results) {
     ASSERT_NE(result, nullptr);
@@ -135,11 +135,11 @@ TEST(SharedFittedModelCache, SingleFlightUnderContention) {
 
 TEST(SharedFittedModelCache, ThrowingFitIsRetriable) {
   SharedFittedModelCache cache;
-  EXPECT_THROW(cache.GetOrFit("boom",
+  EXPECT_THROW(cache.GetOrBuild("boom",
                               []() -> FittedModel { throw std::runtime_error("fit failed"); }),
                std::runtime_error);
   EXPECT_EQ(cache.entries(), 0);  // key released for retry
-  auto [model, performed] = cache.GetOrFit("boom", [] { return FittedModel{{1.0}, 0.0}; });
+  auto [model, performed] = cache.GetOrBuild("boom", [] { return FittedModel{{1.0}, 0.0}; });
   EXPECT_TRUE(performed);
   EXPECT_EQ(model->fitted, std::vector<double>{1.0});
 }

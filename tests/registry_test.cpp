@@ -9,6 +9,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -96,11 +97,8 @@ TEST(DatasetRegistry, SessionsShareAggregatesAndStayByteIdentical) {
   const SharedAggregateCache& cache = (*handle)->cache();
   const int64_t entries_after_cold = cache.entries();
   ASSERT_GT(entries_after_cold, 0);
-  std::map<SharedAggregateCache::Key, HierarchyAggregatesPtr> cold_entries;
-  for (const SharedAggregateCache::Key& key : cache.Keys()) {
-    const auto& [epoch, hierarchy, depth] = key;
-    cold_entries[key] = cache.Find(epoch, hierarchy, depth);
-  }
+  std::map<AggregateKey, HierarchyAggregatesPtr> cold_entries;
+  for (const AggregateKey& key : cache.Keys()) cold_entries[key] = cache.Peek(key);
 
   // A second session at the same drill state: identical bytes, ZERO builds
   // of its own, and the very same cached aggregate objects.
@@ -113,9 +111,9 @@ TEST(DatasetRegistry, SessionsShareAggregatesAndStayByteIdentical) {
   EXPECT_EQ(warm->aggregate_builds(), 0);
   EXPECT_EQ(cache.entries(), entries_after_cold);
   for (const auto& [key, entry] : cold_entries) {
-    const auto& [epoch, hierarchy, depth] = key;
-    EXPECT_EQ(cache.Find(epoch, hierarchy, depth).get(), entry.get())
-        << "aggregate (" << hierarchy << ", " << depth << ") was rebuilt or moved";
+    EXPECT_EQ(cache.Peek(key).get(), entry.get())
+        << "aggregate (" << std::get<1>(key) << ", " << std::get<2>(key)
+        << ") was rebuilt or moved";
   }
 
   // The warm session trains NOTHING: beyond the aggregate/f-tree layer, the
@@ -277,6 +275,7 @@ TEST(DatasetRegistry, ConcurrentSessionLifecycleOverOneDataset) {
   constexpr int kThreads = 4;
   constexpr int kIterations = 3;
   std::vector<int> failures(kThreads, 0);
+  std::vector<int64_t> builds(kThreads, 0);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -297,6 +296,7 @@ TEST(DatasetRegistry, ConcurrentSessionLifecycleOverOneDataset) {
             (std::map<std::string, int>{{"geo", 1}, {"time", 1}})) {
           ++failures[t];
         }
+        builds[t] += session->aggregate_builds();
       }
     });
   }
@@ -305,10 +305,15 @@ TEST(DatasetRegistry, ConcurrentSessionLifecycleOverOneDataset) {
     EXPECT_EQ(failures[t], 0) << "worker " << t << " diverged from the golden responses";
   }
 
-  // Whatever the interleaving, the cache converged to one copy per entry.
+  // Whatever the interleaving, the cache converged to one copy per entry,
+  // and each entry was built exactly once between all racing sessions.
   const SharedAggregateCache& cache = (*handle)->cache();
   EXPECT_GT(cache.entries(), 0);
   EXPECT_GT(cache.hits(), 0);
+  int64_t total_builds = 0;
+  for (int64_t session_builds : builds) total_builds += session_builds;
+  EXPECT_EQ(total_builds, cache.entries());
+  EXPECT_EQ(cache.misses(), cache.entries());
 }
 
 }  // namespace
