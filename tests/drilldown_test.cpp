@@ -61,9 +61,11 @@ TEST(DrillDownState, CacheDynamicReusesEverything) {
   state.BeginInvocation();
   state.Prefetch({{0, 1}, {1, 1}}, nullptr);
   EXPECT_EQ(state.total_builds(), 2);
+  const HierarchyAggregates* first = &state.Peek(0, 1);
   state.BeginInvocation();
   state.Prefetch({{0, 1}, {1, 1}}, nullptr);
   EXPECT_EQ(state.total_builds(), 2);  // all cached
+  EXPECT_EQ(&state.Peek(0, 1), first);  // the very same entry
 }
 
 TEST(DrillDownState, StaticRebuildsEachInvocation) {
@@ -87,10 +89,12 @@ TEST(DrillDownState, DynamicKeepsOnlyCommittedDepths) {
   state.BeginInvocation();
   state.Prefetch(keys, nullptr);
   EXPECT_EQ(state.total_builds(), 3);
+  const HierarchyAggregates* committed = &state.Peek(0, 1);
   state.BeginInvocation();
   state.Prefetch(keys, nullptr);
   // Only the two candidate depths are rebuilt.
   EXPECT_EQ(state.total_builds(), 5);
+  EXPECT_EQ(&state.Peek(0, 1), committed);  // kept, not rebuilt
 }
 
 TEST(DrillDownState, InvocationBuildSecondsTracked) {
