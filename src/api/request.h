@@ -82,10 +82,10 @@ struct ExploreRequest {
   // policy, EM caps, extra repair primitives and the fit-cache opt-out.
   ModelSpec model;
   // Worker threads for each Recommend/RecommendAll call: 0 = hardware
-  // concurrency, 1 = sequential. Any width at or above the machine default
-  // runs on the process-wide shared compute pool, so no value starts more
-  // threads than the machine has. Recommendations are identical at every
-  // setting; only timings change.
+  // concurrency, 1 = sequential. Every width above 1 runs on the
+  // process-wide shared compute pool, so no value starts threads of its
+  // own. Recommendations are identical at every setting; only timings
+  // change.
   int num_threads = 0;
 
   ExploreRequest& TopK(int k);

@@ -245,24 +245,6 @@ Recommendation Engine::RecommendDrillDown(const Complaint& complaint) {
   return std::move(batch.front());
 }
 
-ThreadPool* Engine::PoolFor(int num_threads) {
-  if (num_threads <= 1) return nullptr;
-  // At or above the machine-default width: every engine in the process fans
-  // out over the one SharedThreadPool(), so N concurrent sessions cost one
-  // set of workers, not N, and a request's width never starts threads the
-  // machine has no cores for. Concurrent ParallelFor calls on a pool are
-  // safe (per-call latches); the engine's own tasks never submit to the
-  // pool they run on, so sharing cannot deadlock.
-  if (num_threads >= ThreadPool::DefaultThreads()) return SharedThreadPool();
-  // Below it: one owned pool per requested width, kept for the engine's
-  // lifetime — a caller alternating per-call widths (say 4 and 8) must not
-  // tear down and respawn workers on every batch. Idle pools cost a few
-  // parked threads; the set of widths a caller actually uses is small.
-  std::unique_ptr<ThreadPool>& pool = pools_[num_threads];
-  if (pool == nullptr) pool = std::make_unique<ThreadPool>(num_threads);
-  return pool.get();
-}
-
 std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> complaints,
                                                    const BatchOverrides& overrides,
                                                    BatchTiming* timing) {
@@ -279,7 +261,14 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   // option, backend canonicalized.
   const ModelSpec spec = EffectiveModelSpec(overrides);
   const std::vector<AggFn>& extra_stats = spec.extra_repair_stats;
-  ThreadPool* pool = PoolFor(num_threads);
+  // Every width above 1 fans out over the one process-wide
+  // SharedThreadPool(), so N concurrent sessions cost one set of workers,
+  // not N, and no request's width starts threads of its own. Concurrent
+  // ParallelFor calls on a pool are safe (per-call latches); the engine's
+  // own tasks never submit to the pool they run on, so sharing cannot
+  // deadlock. Results are written by index, so the width never changes a
+  // response.
+  ThreadPool* pool = num_threads > 1 ? SharedThreadPool() : nullptr;
 
   drill_state_.BeginInvocation();
 

@@ -42,7 +42,6 @@
 
 namespace reptile {
 
-class ThreadPool;              // parallel/thread_pool.h
 class SharedFittedModelCache;  // factor/model_cache.h
 struct FittedModel;            // factor/model_cache.h
 class TraceContext;            // obs/trace.h
@@ -73,12 +72,11 @@ struct EngineOptions {
   ModelSpec model;
   DrillDownState::Mode drill_mode = DrillDownState::Mode::kCacheDynamic;
   // Worker threads for the plan/execute fan-out: 0 = hardware concurrency,
-  // 1 = fully sequential (inline, no pool). A width at or above the machine
-  // default runs on the process-wide SharedThreadPool(), so many concurrent
-  // engines in one process (a server) share one set of workers and no width
-  // starts more threads than the machine has; a width in between gets an
-  // engine-owned pool of exactly that width. Recommendations are
-  // element-wise identical at every setting; only the timing fields differ.
+  // 1 = fully sequential (inline, no pool). Every width above 1 runs on the
+  // process-wide SharedThreadPool(), so many concurrent engines in one
+  // process (a server) share one set of workers and no width starts
+  // threads of its own. Recommendations are element-wise identical at every
+  // setting; only the timing fields differ.
   int num_threads = 0;
 };
 
@@ -327,13 +325,6 @@ class Engine {
                                            double charged_train_seconds,
                                            bool charge_build) const;
 
-  /// The worker pool for one batch: nullptr when num_threads resolves to 1;
-  /// the process-wide SharedThreadPool() when the width is at or above the
-  /// machine default; otherwise an owned pool of that width, created once
-  /// and reused by every later batch requesting the same width (no churn
-  /// when per-call widths vary).
-  ThreadPool* PoolFor(int num_threads);
-
   std::shared_ptr<const void> owner_;  // may be null; keeps dataset_ alive
   const Dataset* dataset_;
   SharedFittedModelCache* model_cache_;  // borrowed via owner_; may be null
@@ -355,7 +346,6 @@ class Engine {
   std::vector<CustomFeatureSpec> custom_features_;
   std::vector<std::string> z_exclusions_;
   EngineStats stats_;
-  std::map<int, std::unique_ptr<ThreadPool>> pools_;  // by width; see PoolFor
 };
 
 }  // namespace reptile

@@ -6,8 +6,9 @@
 // Columns are per-attribute value maps (code -> double), so X is fully
 // described by the trees plus O(#values) state; the intercept is a column
 // over the singleton tree. Multi-attribute features (Appendix H) are
-// supported through tuple maps and force the hybrid (row-enumeration) path
-// in the operators.
+// supported through tuple maps; the factorised operators (fmatrix/) take
+// single-attribute matrices only, so a matrix with such a column is
+// materialised (MaterializeMatrix) and fitted by the dense backend.
 //
 // The attribute order is: trees in hierarchy order (the drill-down hierarchy
 // last, per Section 3.4), levels least-to-most specific within each tree.
@@ -82,9 +83,9 @@ class FactorizedMatrix {
   int64_t PrefixLeaves(int k) const { return prefix_leaves_[k]; }
   int64_t SuffixLeaves(int k) const { return suffix_leaves_[k]; }
 
-  /// True when every column is single-attribute (pure factorised operators
-  /// apply; otherwise operators fall back to row enumeration for the
-  /// multi-attribute columns).
+  /// True when every column is single-attribute: the precondition of every
+  /// factorised operator in fmatrix/. A matrix with a multi-attribute column
+  /// is materialised instead.
   bool AllSingleAttribute() const;
 
   /// Total number of attributes across trees and the flattened index of an

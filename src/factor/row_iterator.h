@@ -2,8 +2,9 @@
 //
 // Iterates the rows of the virtual feature matrix in row order, reporting for
 // each step only the attributes whose value changed relative to the previous
-// row. Vertically adjacent rows overlap heavily (the basis of the right
-// multiplication and per-cluster optimizations), so steps are amortised O(1).
+// row. Vertically adjacent rows overlap heavily, so steps are amortised O(1)
+// and MaterializeMatrix fills X incrementally, recomputing only the columns
+// whose attributes changed.
 
 #ifndef REPTILE_FACTOR_ROW_ITERATOR_H_
 #define REPTILE_FACTOR_ROW_ITERATOR_H_

@@ -109,10 +109,8 @@ struct ClusterColumns {
   std::vector<int> intra;
   int intra_flat = -1;  // flat index of the intra attribute
 
-  // flat attr -> inter positions of single columns on it.
+  // flat attr -> inter positions of the columns on it.
   std::vector<std::vector<int>> inter_on_flat;
-  // inter positions of multi columns touched by each flat attr.
-  std::vector<std::vector<int>> multi_on_flat;
 };
 
 ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int>& cols) {
@@ -120,29 +118,14 @@ ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int
   AttrId intra = fm.IntraAttr();
   out.intra_flat = fm.FlatAttrIndex(intra);
   out.inter_on_flat.assign(static_cast<size_t>(fm.num_attrs()), {});
-  out.multi_on_flat.assign(static_cast<size_t>(fm.num_attrs()), {});
   for (size_t i = 0; i < cols.size(); ++i) {
     const FeatureColumn& column = fm.column(cols[i]);
-    bool varies = false;
-    if (column.is_multi) {
-      for (AttrId attr : column.attrs) {
-        if (attr == intra) varies = true;
-      }
-    } else {
-      varies = column.attr == intra;
-    }
     int pos = static_cast<int>(i);
-    if (varies) {
+    if (column.attr == intra) {
       out.intra.push_back(pos);
     } else {
       out.inter.push_back(pos);
-      if (column.is_multi) {
-        for (AttrId attr : column.attrs) {
-          out.multi_on_flat[static_cast<size_t>(fm.FlatAttrIndex(attr))].push_back(pos);
-        }
-      } else {
-        out.inter_on_flat[static_cast<size_t>(fm.FlatAttrIndex(column.attr))].push_back(pos);
-      }
+      out.inter_on_flat[static_cast<size_t>(fm.FlatAttrIndex(column.attr))].push_back(pos);
     }
   }
   return out;
@@ -152,20 +135,11 @@ ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int
 // `codes` (flattened order); for intra columns `child_code` supplies the
 // intra attribute's value.
 double ColumnValueInCluster(const FactorizedMatrix& fm, int column_index, const int32_t* codes,
-                            int intra_flat, int32_t child_code,
-                            std::vector<int32_t>* key_scratch) {
+                            int intra_flat, int32_t child_code) {
   const FeatureColumn& column = fm.column(column_index);
-  if (!column.is_multi) {
-    int flat = fm.FlatAttrIndex(column.attr);
-    int32_t code = flat == intra_flat ? child_code : codes[flat];
-    return column.ValueForCode(code);
-  }
-  key_scratch->resize(column.attrs.size());
-  for (size_t i = 0; i < column.attrs.size(); ++i) {
-    int flat = fm.FlatAttrIndex(column.attrs[i]);
-    (*key_scratch)[i] = flat == intra_flat ? child_code : codes[flat];
-  }
-  return column.ValueForTuple(*key_scratch);
+  int flat = fm.FlatAttrIndex(column.attr);
+  int32_t code = flat == intra_flat ? child_code : codes[flat];
+  return column.ValueForCode(code);
 }
 
 // The intra attribute's level: a cluster's rows are consecutive nodes here.
@@ -191,7 +165,7 @@ class IntraValues {
     return ColumnValueInCluster(
         *fm_, table_->cols[static_cast<size_t>(pos)],
         table_->codes.data() + cluster * static_cast<size_t>(fm_->num_attrs()), intra_flat_,
-        child_code, &key_scratch_);
+        child_code);
   }
 
  private:
@@ -199,13 +173,13 @@ class IntraValues {
   const ClusterTable* table_;
   const FTree::Level* child_level_;
   int intra_flat_;
-  std::vector<int32_t> key_scratch_;
 };
 
 }  // namespace
 
 void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols,
                         const std::function<void(const ClusterData&)>& emit) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   size_t q = cols.size();
   ClusterColumns cc = ClassifyColumns(fm, cols);
   const FTree::Level& child_level = IntraLevel(fm);
@@ -215,7 +189,6 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
   std::vector<double> child_values(cc.intra.size(), 0.0);
   std::vector<double> s1(cc.intra.size(), 0.0);
   Matrix s2(cc.intra.size(), cc.intra.size());
-  std::vector<int32_t> key_scratch;
   std::vector<int> changed_positions;
   std::vector<char> changed_flag(q, 0);
   double n_prev = 0.0;
@@ -237,15 +210,12 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
         for (int pos : cc.inter_on_flat[static_cast<size_t>(flat)]) {
           changed_positions.push_back(pos);
         }
-        for (int pos : cc.multi_on_flat[static_cast<size_t>(flat)]) {
-          changed_positions.push_back(pos);
-        }
       }
     }
     for (int pos : changed_positions) {
       values[static_cast<size_t>(pos)] =
           ColumnValueInCluster(fm, cols[static_cast<size_t>(pos)], it.codes().data(),
-                               cc.intra_flat, 0, &key_scratch);
+                               cc.intra_flat, 0);
       changed_flag[static_cast<size_t>(pos)] = 1;
     }
 
@@ -258,7 +228,7 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
       for (size_t i = 0; i < cc.intra.size(); ++i) {
         child_values[i] =
             ColumnValueInCluster(fm, cols[static_cast<size_t>(cc.intra[i])], it.codes().data(),
-                                 cc.intra_flat, child_code, &key_scratch);
+                                 cc.intra_flat, child_code);
       }
       for (size_t i = 0; i < cc.intra.size(); ++i) {
         s1[i] += child_values[i];
@@ -325,6 +295,7 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
 }
 
 ClusterTable BuildClusterTable(const FactorizedMatrix& fm, const std::vector<int>& cols) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   ClusterColumns cc = ClassifyColumns(fm, cols);
   ClusterTable table;
   table.cols = cols;
@@ -358,6 +329,7 @@ ClusterTable BuildClusterTable(const FactorizedMatrix& fm, const std::vector<int
 void ClusterLeftMultiply(const FactorizedMatrix& fm, const ClusterTable& table,
                          const std::vector<double>& r, const std::vector<double>& r_prefix,
                          Matrix* ztr) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   int64_t clusters = table.num_clusters();
   REPTILE_CHECK_EQ(static_cast<int64_t>(ztr->rows()), clusters);
   REPTILE_CHECK_EQ(ztr->cols(), table.q());
@@ -389,6 +361,7 @@ void ClusterLeftMultiply(const FactorizedMatrix& fm, const ClusterTable& table,
 
 void ClusterRightMultiply(const FactorizedMatrix& fm, const ClusterTable& table, const Matrix& b,
                           std::vector<double>* out) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   int64_t clusters = table.num_clusters();
   REPTILE_CHECK_EQ(static_cast<int64_t>(b.rows()), clusters);
   REPTILE_CHECK_EQ(b.cols(), table.q());

@@ -7,6 +7,12 @@
 // materialising anything. Within a cluster all inter-cluster columns are
 // constant, so a cluster's gram / left / right products reduce to the
 // cluster size, the intra-column child sums, and O(q^2) scalar work.
+//
+// The per-cluster operators take single-attribute matrices only
+// (FactorizedMatrix::AllSingleAttribute()); a matrix with a multi-attribute
+// column (Appendix H) is materialised (materialize.h) and fitted by the
+// dense backend instead. ClusterIterator and ClusterBeginsOf read only the
+// trees, so the dense backend uses them for any matrix.
 
 #ifndef REPTILE_FMATRIX_CLUSTER_OPS_H_
 #define REPTILE_FMATRIX_CLUSTER_OPS_H_
@@ -16,7 +22,6 @@
 #include <vector>
 
 #include "factor/frep.h"
-#include "factor/row_iterator.h"
 #include "linalg/matrix.h"
 
 namespace reptile {

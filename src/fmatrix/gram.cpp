@@ -1,7 +1,6 @@
 #include "fmatrix/gram.h"
 
 #include "common/check.h"
-#include "factor/row_iterator.h"
 
 namespace reptile {
 
@@ -67,63 +66,14 @@ double SingleAttrCell(const FactorizedMatrix& fm, const DecomposedAggregates& ag
 }  // namespace
 
 Matrix FactorizedGram(const FactorizedMatrix& fm, const DecomposedAggregates& agg) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   int m = fm.num_cols();
   Matrix gram(m, m);
   for (int i = 0; i < m; ++i) {
-    if (fm.column(i).is_multi) continue;
     for (int j = i; j < m; ++j) {
-      if (fm.column(j).is_multi) continue;
       double cell = SingleAttrCell(fm, agg, i, j);
       gram(i, j) = cell;
       gram(j, i) = cell;
-    }
-  }
-
-  // Hybrid path for multi-attribute columns: one incremental row pass
-  // accumulating every cell that involves at least one multi column.
-  if (!fm.MultiColumns().empty()) {
-    RowIterator it(fm);
-    std::vector<AttrChange> changed;
-    std::vector<double> current(m, 0.0);
-    std::vector<int32_t> codes(fm.num_attrs(), 0);
-    std::vector<std::vector<int>> multi_on_attr(fm.num_attrs());
-    for (int mc : fm.MultiColumns()) {
-      for (AttrId attr : fm.column(mc).attrs) {
-        multi_on_attr[fm.FlatAttrIndex(attr)].push_back(mc);
-      }
-    }
-    std::vector<int32_t> key;
-    std::vector<char> dirty(m, 0);
-    for (bool ok = it.Start(&changed); ok; ok = it.Next(&changed)) {
-      for (const AttrChange& change : changed) {
-        codes[change.flat_attr] = change.code;
-        for (int c : fm.ColumnsOnAttr(fm.FlatAttr(change.flat_attr))) {
-          current[c] = fm.column(c).ValueForCode(change.code);
-        }
-        for (int mc : multi_on_attr[change.flat_attr]) dirty[mc] = 1;
-      }
-      for (int mc : fm.MultiColumns()) {
-        if (!dirty[mc]) continue;
-        dirty[mc] = 0;
-        const FeatureColumn& column = fm.column(mc);
-        key.resize(column.attrs.size());
-        for (size_t i = 0; i < column.attrs.size(); ++i) {
-          key[i] = codes[fm.FlatAttrIndex(column.attrs[i])];
-        }
-        current[mc] = column.ValueForTuple(key);
-      }
-      for (int mc : fm.MultiColumns()) {
-        double v = current[mc];
-        for (int j = 0; j < m; ++j) {
-          if (fm.column(j).is_multi && j < mc) continue;  // count each pair once
-          gram(mc, j) += v * current[j];
-        }
-      }
-    }
-    for (int mc : fm.MultiColumns()) {
-      for (int j = 0; j < m; ++j) {
-        if (j != mc) gram(j, mc) = gram(mc, j);
-      }
     }
   }
   return gram;

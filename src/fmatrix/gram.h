@@ -11,6 +11,11 @@
 // total, and WS the leaf-weighted column sum. The cross-hierarchy case is the
 // cartesian-product optimization: COF across hierarchies is never
 // materialised.
+//
+// Like every factorised operator in fmatrix/, it takes single-attribute
+// matrices only (FactorizedMatrix::AllSingleAttribute()). A matrix with a
+// multi-attribute column (Appendix H) is materialised (materialize.h) and
+// fitted by the dense backend instead.
 
 #ifndef REPTILE_FMATRIX_GRAM_H_
 #define REPTILE_FMATRIX_GRAM_H_
@@ -21,10 +26,8 @@
 
 namespace reptile {
 
-/// Computes X^T X (m x m). Requires local aggregates for each tree (for the
-/// same-hierarchy COF/ancestor tables). Columns involving multi-attribute
-/// features are computed through a single row-enumeration pass (Appendix H
-/// hybrid path); all other cells use the closed-form aggregates.
+/// Computes X^T X (m x m) of a single-attribute matrix. Requires local
+/// aggregates for each tree (for the same-hierarchy COF/ancestor tables).
 Matrix FactorizedGram(const FactorizedMatrix& fm, const DecomposedAggregates& agg);
 
 /// Leaf-weighted column sum WS = sum_node lc(node) * f(value(node)) for a

@@ -1,11 +1,15 @@
-// Factorised left multiplication A · X (paper Section 4.2.2, Algorithm 3).
+// Factorised left multiplication r^T X (paper Section 4.2.2, Algorithm 3).
 //
-// A is a dense q x n matrix (n = virtual rows of X). Each column of X is a
+// r is a dense n-vector (n = virtual rows of X). Each column of X is a
 // block-repetitive pattern fully described by the decomposed aggregates:
 // within one repetition, each node value occupies lc(node) * suffix
-// consecutive rows. Prefix sums over each row of A turn every block into an
-// O(1) range sum, giving total cost O(q * n) — optimal, since the input A is
-// itself q x n.
+// consecutive rows. A prefix sum over r turns every block into an O(1)
+// range sum, giving total cost O(n) — optimal, since the input r itself has
+// n entries.
+//
+// Single-attribute matrices only (FactorizedMatrix::AllSingleAttribute()):
+// a matrix with a multi-attribute column (Appendix H) is materialised
+// (materialize.h) and fitted by the dense backend instead.
 
 #ifndef REPTILE_FMATRIX_LEFT_MULT_H_
 #define REPTILE_FMATRIX_LEFT_MULT_H_
@@ -13,7 +17,6 @@
 #include <vector>
 
 #include "factor/frep.h"
-#include "linalg/matrix.h"
 
 namespace reptile {
 
@@ -22,11 +25,7 @@ namespace reptile {
 /// left multiplications read.
 void RunningPrefix(const std::vector<double>& r, std::vector<double>* prefix);
 
-/// Computes A · X, returning a dense q x m matrix.
-Matrix FactorizedLeftMultiply(const FactorizedMatrix& fm, const Matrix& a);
-
-/// Computes X^T r for a length-n vector r (one row of the general case),
-/// returning an m-vector.
+/// Computes X^T r for a length-n vector r, returning an m-vector.
 std::vector<double> FactorizedVecLeftMultiply(const FactorizedMatrix& fm,
                                               const std::vector<double>& r);
 

@@ -1,9 +1,14 @@
-// Factorised right multiplication X · B (paper Section 4.2.2, Algorithm 4).
+// Factorised right multiplication X · beta (paper Section 4.2.2, Algorithm 4).
 //
-// The output is n x p and has no redundancy to exploit, so it is
-// materialised; the optimization is on the input side: vertically adjacent
-// rows of X overlap except in the few attributes that changed, so each output
-// row is updated incrementally from its predecessor via the row iterator.
+// The output is an n-vector and has no redundancy to exploit, so it is
+// materialised; the optimization is on the input side: X · beta decomposes
+// into per-tree leaf contributions combined by nested repetition, so each
+// output entry costs about one addition, independent of the number of
+// columns.
+//
+// Single-attribute matrices only (FactorizedMatrix::AllSingleAttribute()):
+// a matrix with a multi-attribute column (Appendix H) is materialised
+// (materialize.h) and fitted by the dense backend instead.
 
 #ifndef REPTILE_FMATRIX_RIGHT_MULT_H_
 #define REPTILE_FMATRIX_RIGHT_MULT_H_
@@ -11,14 +16,10 @@
 #include <vector>
 
 #include "factor/frep.h"
-#include "linalg/matrix.h"
 
 namespace reptile {
 
-/// Computes X · B (B is m x p), returning a dense n x p matrix.
-Matrix FactorizedRightMultiply(const FactorizedMatrix& fm, const Matrix& b);
-
-/// Computes X · beta for a coefficient vector (p = 1), returning an n-vector.
+/// Computes X · beta for a coefficient vector, returning an n-vector.
 std::vector<double> FactorizedVecRightMultiply(const FactorizedMatrix& fm,
                                                const std::vector<double>& beta);
 

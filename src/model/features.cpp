@@ -33,12 +33,6 @@ std::vector<double> MainEffectMap(const GroupByResult& groups, size_t key_pos, A
   return map;
 }
 
-std::vector<double> AuxiliaryMap(const Table& aux, int join_column, int measure_column,
-                                 int32_t cardinality, bool normalize) {
-  return AuxiliaryMapFromCodes(aux.dim_codes(join_column), aux.measure(measure_column),
-                               cardinality, normalize);
-}
-
 std::vector<double> AuxiliaryMapFromCodes(const std::vector<int32_t>& join_codes,
                                           const std::vector<double>& values,
                                           int32_t cardinality, bool normalize) {
@@ -72,14 +66,6 @@ std::vector<double> AuxiliaryMapFromCodes(const std::vector<int32_t>& join_codes
     }
   }
   return map;
-}
-
-std::unordered_map<std::vector<int32_t>, double, CodeTupleHash> MultiAuxiliaryMap(
-    const Table& aux, const std::vector<int>& join_columns, int measure_column,
-    bool normalize) {
-  std::vector<const std::vector<int32_t>*> codes;
-  for (int c : join_columns) codes.push_back(&aux.dim_codes(c));
-  return MultiAuxiliaryMapFromCodes(codes, aux.measure(measure_column), normalize);
 }
 
 std::unordered_map<std::vector<int32_t>, double, CodeTupleHash> MultiAuxiliaryMapFromCodes(
@@ -124,14 +110,6 @@ std::vector<int32_t> TranslateCodes(const ValueDict& from, const ValueDict& to,
   std::vector<int32_t> out(codes.size());
   for (size_t i = 0; i < codes.size(); ++i) out[i] = table[static_cast<size_t>(codes[i])];
   return out;
-}
-
-void NormalizeMap(std::vector<double>* map) {
-  if (map->size() < 2) return;
-  double mean = Mean(*map);
-  double std = SampleStd(*map);
-  if (std <= 0.0) return;
-  for (double& v : *map) v = (v - mean) / std;
 }
 
 }  // namespace reptile

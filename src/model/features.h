@@ -47,27 +47,18 @@ AttrValueStats CollectAttrValueStats(const GroupByResult& groups, size_t key_pos
 std::vector<double> MainEffectMap(const GroupByResult& groups, size_t key_pos, AggFn fn,
                                   int32_t cardinality);
 
-/// Auxiliary single-attribute map: joins `aux` on `join_column` and exposes
-/// `measure_column`, averaged per join value and optionally z-normalised
-/// across the distinct values. Codes absent from the auxiliary data get 0
-/// (the post-normalisation mean).
-std::vector<double> AuxiliaryMap(const Table& aux, int join_column, int measure_column,
-                                 int32_t cardinality, bool normalize = true);
-
-/// Auxiliary multi-attribute map (Appendix H): tuple of join codes ->
-/// averaged, optionally z-normalised measure.
-std::unordered_map<std::vector<int32_t>, double, CodeTupleHash> MultiAuxiliaryMap(
-    const Table& aux, const std::vector<int>& join_columns, int measure_column,
-    bool normalize = true);
-
-/// Core of AuxiliaryMap operating on pre-extracted (and possibly
-/// dictionary-translated) code/value arrays; codes < 0 are skipped.
+/// Auxiliary single-attribute map over an auxiliary table's pre-extracted
+/// (and possibly dictionary-translated) join codes and measure values: the
+/// values averaged per join code and optionally z-normalised across the
+/// distinct codes. Codes < 0 or >= `cardinality` are skipped; codes absent
+/// from the auxiliary data get 0 (the post-normalisation mean).
 std::vector<double> AuxiliaryMapFromCodes(const std::vector<int32_t>& join_codes,
                                           const std::vector<double>& values,
                                           int32_t cardinality, bool normalize = true);
 
-/// Core of MultiAuxiliaryMap on pre-extracted per-attribute code arrays;
-/// tuples containing a negative code are skipped.
+/// Auxiliary multi-attribute map (Appendix H) over pre-extracted
+/// per-attribute code arrays: tuple of join codes -> averaged, optionally
+/// z-normalised value. Tuples containing a negative code are skipped.
 std::unordered_map<std::vector<int32_t>, double, CodeTupleHash> MultiAuxiliaryMapFromCodes(
     const std::vector<const std::vector<int32_t>*>& join_codes,
     const std::vector<double>& values, bool normalize = true);
@@ -77,10 +68,6 @@ std::unordered_map<std::vector<int32_t>, double, CodeTupleHash> MultiAuxiliaryMa
 /// table's dictionaries before building feature maps.
 std::vector<int32_t> TranslateCodes(const ValueDict& from, const ValueDict& to,
                                     const std::vector<int32_t>& codes);
-
-/// Centers and z-normalises the values of a map in place (used on custom
-/// feature outputs); no-op when the spread is degenerate.
-void NormalizeMap(std::vector<double>* map);
 
 }  // namespace reptile
 

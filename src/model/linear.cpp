@@ -60,11 +60,4 @@ LinearModel TrainLinearFactorized(const FactorizedMatrix& fm, const DecomposedAg
   return model;
 }
 
-double PredictLinear(const LinearModel& model, const std::vector<double>& features) {
-  REPTILE_CHECK_EQ(features.size(), model.beta.size());
-  double pred = 0.0;
-  for (size_t c = 0; c < features.size(); ++c) pred += features[c] * model.beta[c];
-  return pred;
-}
-
 }  // namespace reptile

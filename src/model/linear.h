@@ -31,9 +31,6 @@ LinearModel TrainLinearDense(const Matrix& x, const std::vector<double>& y,
 LinearModel TrainLinearFactorized(const FactorizedMatrix& fm, const DecomposedAggregates& agg,
                                   const std::vector<double>& y, double ridge = 1e-9);
 
-/// Prediction for one feature row.
-double PredictLinear(const LinearModel& model, const std::vector<double>& features);
-
 }  // namespace reptile
 
 #endif  // REPTILE_MODEL_LINEAR_H_

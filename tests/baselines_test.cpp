@@ -1,15 +1,11 @@
-// Tests for baselines/: sensitivity, support, outlier, raw winsorization,
-// the LMFAO-style aggregation engine, and the dense trainer wrapper.
+// Tests for baselines/: sensitivity, support, outlier and raw
+// winsorization.
 
-#include "baselines/lmfao_style.h"
 #include "baselines/outlier.h"
 #include "baselines/raw_winsor.h"
 #include "baselines/sensitivity.h"
 #include "baselines/support.h"
-#include "common/rng.h"
-#include "fmatrix/gram.h"
 #include "gtest/gtest.h"
-#include "test_util.h"
 
 namespace reptile {
 namespace {
@@ -86,31 +82,6 @@ TEST(RawWinsor, RespectsComplaintFilter) {
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_EQ(ranked[0].key[0], *t.dict(0).Find("c"));
 }
-
-class LmfaoEquivalenceTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(LmfaoEquivalenceTest, MatchesFactorizedOutputs) {
-  Rng rng(GetParam());
-  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, 2);
-  DecomposedAggregates agg(&rm.fm, rm.LocalPtrs());
-  LmfaoStyleResult lmfao = LmfaoStyleComputeAggregates(rm.fm);
-
-  // COUNT aggregates agree.
-  for (int flat = 0; flat < rm.fm.num_attrs(); ++flat) {
-    AttrId attr = rm.fm.FlatAttr(flat);
-    for (int64_t node = 0; node < rm.fm.tree(attr.hierarchy).num_nodes(attr.level); ++node) {
-      EXPECT_EQ(lmfao.counts[static_cast<size_t>(flat)][static_cast<size_t>(node)],
-                agg.Count(attr, node));
-    }
-  }
-  // Gram matrices agree.
-  Matrix reptile_gram = FactorizedGram(rm.fm, agg);
-  EXPECT_TRUE(lmfao.gram.ApproxEquals(reptile_gram, 1e-8));
-  // The baseline really materialised cross-hierarchy COFs.
-  EXPECT_GT(lmfao.materialized_cof_cells, 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LmfaoEquivalenceTest, ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace reptile

@@ -47,6 +47,9 @@ TEST(ClusterIterator, InterCodesMatchRowCodes) {
   }
 }
 
+// The suite names each param by its bytes, so the struct keeps the
+// num_multi field the test IDs were recorded with; it is 0 everywhere, since
+// the per-cluster operators take single-attribute matrices only.
 struct ClusterParam {
   int seed;
   int hierarchies;
@@ -139,7 +142,6 @@ std::vector<ClusterParam> MakeParams() {
   for (int seed = 0; seed < 8; ++seed) {
     for (int h : {1, 2, 3}) params.push_back(ClusterParam{seed, h, 0});
   }
-  for (int seed = 50; seed < 54; ++seed) params.push_back(ClusterParam{seed, 2, 2});
   return params;
 }
 

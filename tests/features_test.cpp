@@ -1,5 +1,5 @@
-// Tests for model/features: main-effect maps, auxiliary maps (single and
-// multi attribute), and normalization.
+// Tests for model/features: main-effect maps and auxiliary maps (single and
+// multi attribute, raw and normalised).
 
 #include "data/group_by.h"
 #include "gtest/gtest.h"
@@ -83,12 +83,14 @@ Table MakeAuxTable() {
 
 TEST(AuxiliaryMap, AveragesAndNormalizes) {
   Table aux = MakeAuxTable();
-  std::vector<double> raw = AuxiliaryMap(aux, 0, 1, 3, /*normalize=*/false);
+  std::vector<double> raw =
+      AuxiliaryMapFromCodes(aux.dim_codes(0), aux.measure(1), 3, /*normalize=*/false);
   EXPECT_DOUBLE_EQ(raw[0], 150.0);
   EXPECT_DOUBLE_EQ(raw[1], 300.0);
   EXPECT_DOUBLE_EQ(raw[2], 600.0);
 
-  std::vector<double> norm = AuxiliaryMap(aux, 0, 1, 3, /*normalize=*/true);
+  std::vector<double> norm =
+      AuxiliaryMapFromCodes(aux.dim_codes(0), aux.measure(1), 3, /*normalize=*/true);
   // mean 350, sd ~228.0; normalized values sum to ~0.
   EXPECT_NEAR(norm[0] + norm[1] + norm[2], 0.0, 1e-9);
   EXPECT_LT(norm[0], 0.0);
@@ -97,7 +99,8 @@ TEST(AuxiliaryMap, AveragesAndNormalizes) {
 
 TEST(AuxiliaryMap, MissingCodesReadZero) {
   Table aux = MakeAuxTable();
-  std::vector<double> norm = AuxiliaryMap(aux, 0, 1, 5, /*normalize=*/true);
+  std::vector<double> norm =
+      AuxiliaryMapFromCodes(aux.dim_codes(0), aux.measure(1), 5, /*normalize=*/true);
   EXPECT_DOUBLE_EQ(norm[3], 0.0);
   EXPECT_DOUBLE_EQ(norm[4], 0.0);
 }
@@ -116,24 +119,11 @@ TEST(MultiAuxiliaryMap, TupleKeys) {
   add("tx", "d1", 10.0);
   add("tx", "d2", 20.0);
   add("ny", "d1", 30.0);
-  auto map = MultiAuxiliaryMap(aux, {s, d}, m, /*normalize=*/false);
+  auto map = MultiAuxiliaryMapFromCodes({&aux.dim_codes(s), &aux.dim_codes(d)}, aux.measure(m),
+                                        /*normalize=*/false);
   EXPECT_EQ(map.size(), 3u);
   EXPECT_DOUBLE_EQ((map[{0, 0}]), 10.0);
   EXPECT_DOUBLE_EQ((map[{1, 0}]), 30.0);
-}
-
-TEST(NormalizeMap, ZeroMeanUnitVariance) {
-  std::vector<double> map = {1.0, 2.0, 3.0, 4.0};
-  NormalizeMap(&map);
-  double sum = 0.0;
-  for (double v : map) sum += v;
-  EXPECT_NEAR(sum, 0.0, 1e-12);
-}
-
-TEST(NormalizeMap, DegenerateNoOp) {
-  std::vector<double> map = {5.0, 5.0, 5.0};
-  NormalizeMap(&map);
-  EXPECT_DOUBLE_EQ(map[0], 5.0);
 }
 
 }  // namespace

@@ -26,15 +26,15 @@ TEST(LinearDense, RecoversKnownCoefficients) {
   EXPECT_NEAR(model.beta[1], 3.0, 0.05);
   EXPECT_NEAR(model.beta[2], -1.5, 0.05);
   EXPECT_NEAR(model.sigma2, 0.01, 0.005);
-  EXPECT_DOUBLE_EQ(PredictLinear(model, {1.0, 0.0, 0.0}), model.beta[0]);
 }
 
 TEST(LinearDense, CollinearHandledByRidge) {
   Matrix x = {{1, 1}, {1, 1}, {1, 1}};
   std::vector<double> y = {2.0, 2.0, 2.0};
   LinearModel model = TrainLinearDense(x, y, 1e-6);
-  // Prediction at (1,1) should still be ~2 even though X is rank-1.
-  EXPECT_NEAR(PredictLinear(model, {1.0, 1.0}), 2.0, 1e-3);
+  // The prediction at (1,1), beta[0] + beta[1], should still be ~2 even
+  // though X is rank-1.
+  EXPECT_NEAR(model.beta[0] + model.beta[1], 2.0, 1e-3);
 }
 
 class LinearEquivalenceTest : public ::testing::TestWithParam<int> {};

@@ -206,15 +206,15 @@ TEST(MultiLevelBitExact, FactorizedInterceptOnly) {
             "43bca1d3fed4dcf2");
 }
 
-// Random forests with one multi-attribute column and BackendEquivalenceTest's
-// random Z subsets: uneven clusters, intra columns and the hybrid path.
+// Random single-attribute forests with BackendEquivalenceTest's random Z
+// subsets: uneven clusters and (seeds 0, 2, 3) an intra column.
 class MultiLevelBitExactRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(MultiLevelBitExactRandom, FactorizedRandomZ) {
-  static const char* const kDigests[] = {"065afc841c176c69", "4a005131a6c4b26c",
-                                         "2be26302461affac", "d63891daefecc1d6"};
+  static const char* const kDigests[] = {"7264f13bb4731cc5", "f0d3ccd7e89072e6",
+                                         "eb9bf28c28a769a8", "2106b7b1b28d6777"};
   Rng rng(GetParam());
-  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, 2, 3, 4, /*num_multi=*/1);
+  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, 2);
   DecomposedAggregates agg(&rm.fm, rm.LocalPtrs());
   std::vector<double> y = testutil::RandomVector(&rng, rm.fm.num_rows());
   std::vector<int> z_cols = {0};

@@ -370,28 +370,6 @@ TEST(ParallelEngineTest, PerCallOverridesApplyToOneCallOnly) {
   }
 }
 
-TEST(ParallelEngineTest, SharedPoolAndOwnedPoolAreIdentical) {
-  // A session at the machine-default width fans out over the process-wide
-  // SharedThreadPool(); a session one width below it gets an engine-owned
-  // pool. Recommendations must be identical either way.
-  const int owned_width = ThreadPool::DefaultThreads() - 1;
-  if (owned_width < 2) GTEST_SKIP() << "no owned-pool width (2 to the default - 1) here";
-  std::vector<ComplaintSpec> complaints = PanelComplaints();
-  Session shared = MakePanelSession(ThreadPool::DefaultThreads());
-  Session owned = MakePanelSession(owned_width);
-
-  Result<BatchExploreResponse> from_shared =
-      shared.RecommendAll(std::span<const ComplaintSpec>(complaints));
-  ASSERT_TRUE(from_shared.ok()) << from_shared.status().ToString();
-  Result<BatchExploreResponse> from_owned =
-      owned.RecommendAll(std::span<const ComplaintSpec>(complaints));
-  ASSERT_TRUE(from_owned.ok()) << from_owned.status().ToString();
-  ASSERT_EQ(from_shared->responses.size(), from_owned->responses.size());
-  for (size_t i = 0; i < from_shared->responses.size(); ++i) {
-    ExpectSameResponse(from_shared->responses[i], from_owned->responses[i]);
-  }
-}
-
 // OS threads of this process: one /proc/self/task entry each (Linux).
 int CountProcessThreads() {
   int count = 0;
@@ -403,9 +381,9 @@ int CountProcessThreads() {
 }
 
 TEST(ParallelEngineTest, WidthAboveTheMachineDefaultSharesTheProcessPool) {
-  // A width above the machine default starts no threads of its own: it runs
-  // on the already-started SharedThreadPool(), with the sequential
-  // session's responses.
+  // No width starts threads of its own: every width from 2 to one above the
+  // machine default runs on the already-started SharedThreadPool(), with
+  // the sequential session's responses. One session per width.
   std::vector<ComplaintSpec> complaints = PanelComplaints();
   Session sequential = MakePanelSession(1);
   Result<BatchExploreResponse> reference =
@@ -413,15 +391,18 @@ TEST(ParallelEngineTest, WidthAboveTheMachineDefaultSharesTheProcessPool) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   ASSERT_NE(SharedThreadPool(), nullptr);
-  Session wide = MakePanelSession(ThreadPool::DefaultThreads() + 1);
-  const int threads_before = CountProcessThreads();
-  Result<BatchExploreResponse> batch =
-      wide.RecommendAll(std::span<const ComplaintSpec>(complaints));
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(CountProcessThreads(), threads_before);
-  ASSERT_EQ(batch->responses.size(), reference->responses.size());
-  for (size_t i = 0; i < batch->responses.size(); ++i) {
-    ExpectSameResponse(batch->responses[i], reference->responses[i]);
+  for (int width = 2; width <= ThreadPool::DefaultThreads() + 1; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    Session session = MakePanelSession(width);
+    const int threads_before = CountProcessThreads();
+    Result<BatchExploreResponse> batch =
+        session.RecommendAll(std::span<const ComplaintSpec>(complaints));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(CountProcessThreads(), threads_before);
+    ASSERT_EQ(batch->responses.size(), reference->responses.size());
+    for (size_t i = 0; i < batch->responses.size(); ++i) {
+      ExpectSameResponse(batch->responses[i], reference->responses[i]);
+    }
   }
 }
 

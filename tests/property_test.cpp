@@ -34,8 +34,7 @@ TEST_P(DeepForestTest, FullOperatorStackMatchesDense) {
   Rng rng(GetParam());
   // Deeper and wider than the unit tests: up to 4 hierarchies, depth 4.
   int hierarchies = static_cast<int>(rng.UniformInt(1, 4));
-  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, hierarchies, 4, 5,
-                                                         /*num_multi=*/GetParam() % 2);
+  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, hierarchies, 4, 5);
   if (rm.fm.num_rows() > 5000) GTEST_SKIP() << "cross product too large for dense check";
   DecomposedAggregates agg(&rm.fm, rm.LocalPtrs());
   Matrix x = MaterializeMatrix(rm.fm);
