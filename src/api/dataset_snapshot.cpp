@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -67,12 +68,9 @@ std::string FTreesSection(const PreparedDataset& dataset) {
 }
 
 std::string ModelsSection(const PreparedDataset& dataset) {
-  // Same filter for fitted models: keep only this version's keys. Version 1
-  // keys have no "|v:" component; an appended head's keys end in
-  // "|v:<version>", which is STRIPPED on write so the restored dataset —
-  // version 1 again — finds them warm under its own spelling.
-  const std::string version_suffix =
-      dataset.version_token().empty() ? std::string() : "|v:" + dataset.version_token();
+  // Same filter for fitted models: keep only this version's keys, with the
+  // version component STRIPPED on write so the restored dataset — version 1
+  // again — finds them warm under its own spelling.
   ByteWriter w;
   std::vector<std::pair<std::string, FittedModelPtr>> persisted;
   for (auto& [key, model] : dataset.model_cache().Items()) {
@@ -80,16 +78,9 @@ std::string ModelsSection(const PreparedDataset& dataset) {
     // have no content identity): no future process can ever compute such a
     // key, so persisting the entry would be dead weight.
     if (!key.empty() && key[0] == '#') continue;
-    size_t v = key.rfind("|v:");
-    if (version_suffix.empty()) {
-      if (v != std::string::npos) continue;  // another version's fits
-      persisted.emplace_back(key, std::move(model));
-    } else {
-      if (v == std::string::npos || key.compare(v, std::string::npos, version_suffix) != 0) {
-        continue;
-      }
-      persisted.emplace_back(key.substr(0, v), std::move(model));
-    }
+    std::optional<size_t> length = VersionlessModelKeyLength(key, dataset.version_token());
+    if (!length.has_value()) continue;  // another version's fits
+    persisted.emplace_back(key.substr(0, *length), std::move(model));
   }
   w.U32(static_cast<uint32_t>(persisted.size()));
   for (const auto& [key, model] : persisted) {

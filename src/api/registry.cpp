@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "factor/agg_cache.h"
+#include "factor/group_stats_cache.h"
 #include "factor/model_cache.h"
 #include "version/version.h"
 
@@ -36,6 +37,7 @@ PreparedDataset::PreparedDataset(Dataset dataset)
     : dataset_(std::move(dataset)),
       cache_(std::make_shared<SharedAggregateCache>()),
       model_cache_(std::make_shared<SharedFittedModelCache>()),
+      group_stats_cache_(std::make_unique<GroupStatsCache>()),
       version_(1),
       epochs_(UniformEpochsFor(dataset_, 1)) {}
 
@@ -44,10 +46,16 @@ PreparedDataset::PreparedDataset(Dataset dataset, const PreparedDataset& parent,
     : dataset_(std::move(dataset)),
       cache_(parent.cache_),
       model_cache_(parent.model_cache_),
+      group_stats_cache_(std::make_unique<GroupStatsCache>()),
       version_(version),
       epochs_(std::make_shared<const AggregateEpochs>(std::move(epochs))) {}
 
-PreparedDataset::~PreparedDataset() = default;
+PreparedDataset::~PreparedDataset() {
+  const std::string token = version_token();
+  for (const std::string& key : model_cache_->Keys()) {
+    if (VersionlessModelKeyLength(key, token).has_value()) model_cache_->Erase(key);
+  }
+}
 
 Result<DatasetHandle> PreparedDataset::Prepare(Dataset dataset) {
   REPTILE_RETURN_IF_ERROR(ValidatePreparable(dataset));
@@ -105,11 +113,25 @@ int64_t PreparedDataset::model_cache_evictions() const { return model_cache_->ev
 int64_t PreparedDataset::model_cache_fits() const {
   return model_cache_->misses();  // a miss is one fit
 }
+int64_t PreparedDataset::group_stats_cache_entries() const {
+  return group_stats_cache_->entries();
+}
+int64_t PreparedDataset::group_stats_cache_hits() const { return group_stats_cache_->hits(); }
+int64_t PreparedDataset::group_stats_cache_misses() const {
+  return group_stats_cache_->misses();
+}
+int64_t PreparedDataset::group_stats_cache_bytes() const {
+  return static_cast<int64_t>(group_stats_cache_->bytes());
+}
+int64_t PreparedDataset::group_stats_cache_evictions() const {
+  return group_stats_cache_->evictions();
+}
 
 void PreparedDataset::SetCacheBudgetBytes(size_t total_bytes) const {
-  size_t half = total_bytes / 2;
-  cache_->set_budget_bytes(half);
-  model_cache_->set_budget_bytes(total_bytes == 0 ? 0 : total_bytes - half);
+  const size_t third = total_bytes / 3;
+  cache_->set_budget_bytes(third);
+  model_cache_->set_budget_bytes(third);
+  group_stats_cache_->set_budget_bytes(total_bytes - 2 * third);
 }
 
 Result<DatasetHandle> DatasetRegistry::Add(std::string name, Dataset dataset) {

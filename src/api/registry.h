@@ -22,12 +22,16 @@
 //
 // Incremental versions (version/append.h): appending rows produces a NEW
 // immutable PreparedDataset — version K+1, parent-linked by construction —
-// that shares the parent's two cache objects and carries an AggregateEpochs
-// table marking which (hierarchy, depth) subtrees the delta dirtied. The
-// registry keys each name to a VERSION CHAIN: "name" resolves to the head,
-// "name@vK" pins a specific live version, and AppendVersion() retires
-// unpinned non-head ancestors (their handles' only reference is the chain
-// itself) so the byte budget pays only for versions someone can still read.
+// that shares the parent's aggregate and model cache objects and carries an
+// AggregateEpochs table marking which (hierarchy, depth) subtrees the delta
+// dirtied. Its group-statistics cache is its own: appended rows change
+// group moments even under clean subtrees. The registry keys each name to a
+// VERSION CHAIN: "name" resolves to the head, "name@vK" pins a specific
+// live version, and AppendVersion() retires unpinned non-head ancestors
+// (their handles' only reference is the chain itself). A retired version
+// takes its group statistics and its fitted models with it, so the byte
+// budget pays only for versions someone can still read; aggregate entries
+// stay, because clean descendants share them.
 
 #ifndef REPTILE_API_REGISTRY_H_
 #define REPTILE_API_REGISTRY_H_
@@ -48,6 +52,7 @@ namespace reptile {
 
 class SharedAggregateCache;    // factor/agg_cache.h (internal)
 class SharedFittedModelCache;  // factor/model_cache.h (internal)
+class GroupStatsCache;         // factor/group_stats_cache.h (internal)
 struct AggregateEpochs;        // factor/agg_cache.h (internal)
 
 class PreparedDataset;
@@ -66,13 +71,17 @@ class PreparedDataset {
 
   /// Wraps `dataset` as version `version` == parent->version() + 1 of the
   /// parent's chain. The child SHARES the parent's aggregate and model cache
-  /// objects; `epochs` says, per (hierarchy, depth), which entries it reads
+  /// objects (and starts an empty group-statistics cache); `epochs` says, per (hierarchy, depth), which entries it reads
   /// at the parent's epoch (structurally shared) versus its own version id
   /// (dirtied by the append — see AggregateEpochs). Same validation as
   /// Prepare, plus the version-succession check.
   static Result<DatasetHandle> PrepareVersion(const DatasetHandle& parent, Dataset dataset,
                                               int64_t version, AggregateEpochs epochs);
 
+  /// Erases from the chain-shared model cache the fitted models only this
+  /// version can read (its keys' version component, see
+  /// AppendModelKeyVersion), so a version the registry retires stops paying
+  /// for them.
   ~PreparedDataset();
 
   PreparedDataset(const PreparedDataset&) = delete;
@@ -89,6 +98,12 @@ class PreparedDataset {
   /// opened over this dataset consults it before training, so warm sessions
   /// perform zero fits. Internally synchronized, like cache().
   SharedFittedModelCache& model_cache() const { return *model_cache_; }
+
+  /// This version's own group-statistics cache (factor/group_stats_cache.h):
+  /// one statistics pass per (committed depths, candidate hierarchy,
+  /// measure), so warm recommends read no table rows. Never shared with
+  /// other versions. Internally synchronized, like cache().
+  GroupStatsCache& group_stats_cache() const { return *group_stats_cache_; }
 
   /// This dataset's version within its chain (1 for a fresh Prepare).
   int64_t version() const { return version_; }
@@ -115,10 +130,16 @@ class PreparedDataset {
   /// over this dataset; the single-flight contract makes this "one per
   /// distinct key", however many sessions raced.
   int64_t model_cache_fits() const;
+  int64_t group_stats_cache_entries() const;
+  int64_t group_stats_cache_hits() const;
+  int64_t group_stats_cache_misses() const;
+  int64_t group_stats_cache_bytes() const;
+  int64_t group_stats_cache_evictions() const;
 
-  /// Splits `total_bytes` evenly between the aggregate and model caches
-  /// (0 = unlimited for both). Const for the same reason cache() is: a
-  /// budget changes retention, not the logical dataset.
+  /// Splits `total_bytes` evenly between the aggregate, model and
+  /// group-statistics caches (0 = unlimited for all three). Const for the
+  /// same reason cache() is: a budget changes retention, not the logical
+  /// dataset.
   void SetCacheBudgetBytes(size_t total_bytes) const;
 
  private:
@@ -129,6 +150,7 @@ class PreparedDataset {
   Dataset dataset_;
   std::shared_ptr<SharedAggregateCache> cache_;
   std::shared_ptr<SharedFittedModelCache> model_cache_;
+  std::unique_ptr<GroupStatsCache> group_stats_cache_;
   int64_t version_ = 1;
   std::shared_ptr<const AggregateEpochs> epochs_;
 };

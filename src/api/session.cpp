@@ -51,8 +51,8 @@ Result<Session> Session::Open(DatasetHandle dataset, const ExploreRequest& optio
   const DatasetHandle& handle = session.impl_->handle;
   session.impl_->engine =
       std::make_unique<Engine>(&handle->data(), &handle->cache(), &handle->model_cache(),
-                               handle, *engine_options, &handle->epochs(),
-                               handle->version_token());
+                               &handle->group_stats_cache(), handle, *engine_options,
+                               &handle->epochs(), handle->version_token());
   return session;
 }
 

@@ -15,7 +15,8 @@ std::vector<ScoredGroup> OutlierRank(const GroupByResult& siblings,
   scored.reserve(siblings.num_groups());
   for (size_t g = 0; g < siblings.num_groups(); ++g) {
     ScoredGroup sg;
-    sg.key = siblings.key_tuple(g);
+    std::span<const int32_t> key = siblings.key_tuple(g);
+    sg.key.assign(key.begin(), key.end());
     sg.observed = siblings.stats(g);
     sg.repaired = ApplyRepair(sg.observed, predictions[g]);
     double deviation = std::fabs(sg.observed.Value(agg) - sg.repaired.Value(agg));

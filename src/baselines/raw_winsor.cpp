@@ -45,7 +45,8 @@ std::vector<ScoredGroup> RawWinsorRank(const Table& table, const std::vector<int
   scored.reserve(siblings.num_groups());
   for (size_t g = 0; g < siblings.num_groups(); ++g) {
     ScoredGroup sg;
-    sg.key = siblings.key_tuple(g);
+    std::span<const int32_t> group_key = siblings.key_tuple(g);
+    sg.key.assign(group_key.begin(), group_key.end());
     sg.observed = siblings.stats(g);
     Moments repaired;
     for (double v : raw_values[g]) {

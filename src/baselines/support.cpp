@@ -9,7 +9,8 @@ std::vector<ScoredGroup> SupportRank(const GroupByResult& siblings) {
   scored.reserve(siblings.num_groups());
   for (size_t g = 0; g < siblings.num_groups(); ++g) {
     ScoredGroup sg;
-    sg.key = siblings.key_tuple(g);
+    std::span<const int32_t> key = siblings.key_tuple(g);
+    sg.key.assign(key.begin(), key.end());
     sg.observed = siblings.stats(g);
     sg.repaired = sg.observed;
     sg.repaired_complaint_value = sg.observed.count;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include <atomic>
@@ -11,9 +12,9 @@
 #include "common/hashing.h"
 #include "common/timer.h"
 #include "core/repair.h"
-#include "core/view.h"
 #include "data/group_by.h"
 #include "factor/frep.h"
+#include "factor/group_stats_cache.h"
 #include "factor/model_cache.h"
 #include "fmatrix/materialize.h"
 #include "fmatrix/right_mult.h"
@@ -97,12 +98,10 @@ struct Engine::CandidatePlan {
 
   // Per measure column (-1 = COUNT only): the table's non-empty groups over
   // the plan's key columns and each group's matrix row in `layout` — the one
-  // statistics pass that both y (every primitive) and featurization read.
-  struct MeasureGroups {
-    GroupByResult groups;
-    std::vector<int64_t> rows;  // aligned with groups
-  };
-  std::map<int, MeasureGroups> stats;
+  // statistics pass that y (every primitive), featurization and sibling
+  // selection read. shared_ptr because the entry is owned by the
+  // group-statistics cache, and so by every batch that reads the same key.
+  std::map<int, std::shared_ptr<const GroupStats>> stats;
 
   // Trained models: (measure column, primitive) -> fit. shared_ptr because
   // an entry may be owned by the process-shared fitted-model cache (and so
@@ -117,12 +116,14 @@ const HierarchyRecommendation& Recommendation::best() const {
 }
 
 Engine::Engine(const Dataset* dataset, SharedAggregateCache* shared_cache,
-               SharedFittedModelCache* model_cache, std::shared_ptr<const void> owner,
-               EngineOptions options, const AggregateEpochs* epochs,
-               std::string version_token)
+               SharedFittedModelCache* model_cache, GroupStatsCache* stats_cache,
+               std::shared_ptr<const void> owner, EngineOptions options,
+               const AggregateEpochs* epochs, std::string version_token)
     : owner_(std::move(owner)),
       dataset_(dataset),
       model_cache_(model_cache),
+      own_stats_cache_(stats_cache == nullptr ? std::make_unique<GroupStatsCache>() : nullptr),
+      stats_cache_(stats_cache == nullptr ? own_stats_cache_.get() : stats_cache),
       options_(options),
       drill_state_(dataset, options.drill_mode, shared_cache, epochs),
       version_token_(std::move(version_token)) {
@@ -131,7 +132,7 @@ Engine::Engine(const Dataset* dataset, SharedAggregateCache* shared_cache,
 }
 
 Engine::Engine(const Dataset* dataset, EngineOptions options)
-    : Engine(dataset, nullptr, nullptr, nullptr, options) {}
+    : Engine(dataset, nullptr, nullptr, nullptr, nullptr, options) {}
 
 Engine::~Engine() = default;
 
@@ -324,10 +325,12 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   const int64_t trained_before = stats_.models_trained;
   const int64_t cache_hits_before = stats_.fit_cache_hits;
 
-  // --- Execute stage (a): group statistics, one task per (plan, measure):
-  // one GroupBy over the whole table plus each group's matrix row. Map slots
-  // are inserted sequentially here; the tasks only assign into their own
-  // pre-inserted slot. ---
+  // --- Execute stage (a): group statistics, one task per (plan, measure),
+  // read through the group-statistics cache: a resident entry is a lookup,
+  // a missing one is one GroupBy over the whole table plus each group's
+  // matrix row, built once however many batches race on it (the build
+  // submits nothing to the pool). Map slots are inserted sequentially here;
+  // the tasks only assign into their own pre-inserted slot. ---
   struct StatTask {
     CandidatePlan* plan;
     int measure_column;
@@ -336,16 +339,24 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   for (std::unique_ptr<CandidatePlan>& plan : plans) {
     for (const Complaint& complaint : complaints) {
       int measure = complaint.measure_column;
-      if (plan->stats.emplace(measure, CandidatePlan::MeasureGroups()).second) {
+      if (plan->stats.emplace(measure, nullptr).second) {
         stat_tasks.push_back(StatTask{plan.get(), measure});
       }
     }
   }
+  std::vector<char> stats_built(stat_tasks.size(), 0);
   ParallelFor(pool, static_cast<int64_t>(stat_tasks.size()), [&](int64_t i) {
     const StatTask& task = stat_tasks[static_cast<size_t>(i)];
-    CandidatePlan::MeasureGroups& slot = task.plan->stats.find(task.measure_column)->second;
-    slot.groups = GroupBy(dataset_->table(), task.plan->ctx.key_columns, task.measure_column);
-    slot.rows = MatrixRowsOf(task.plan->layout, task.plan->ctx, slot.groups);
+    const CandidatePlan& plan = *task.plan;
+    auto [entry, built] =
+        stats_cache_->GetOrBuild(StatsCacheKey(plan.hierarchy, task.measure_column), [&] {
+          GroupStats stats;
+          stats.groups = GroupBy(dataset_->table(), plan.ctx.key_columns, task.measure_column);
+          stats.rows = MatrixRowsOf(plan.layout, plan.ctx, stats.groups);
+          return stats;
+        });
+    task.plan->stats.find(task.measure_column)->second = std::move(entry);
+    stats_built[static_cast<size_t>(i)] = built ? 1 : 0;
   });
 
   // --- Execute stage (b): model fits, one task per distinct (plan, measure,
@@ -427,15 +438,20 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   if (trace != nullptr) {
     // The span covers group statistics + fits + install; its detail is the
     // cache outcome the warm-vs-cold benchmarks care about, plus the work
-    // of the statistics pass: table rows read and non-empty groups made.
+    // of the statistics passes this call ran (a cache hit adds nothing):
+    // table rows read and non-empty groups made.
+    size_t stat_rows = 0;
     size_t stat_groups = 0;
-    for (const StatTask& task : stat_tasks) {
-      stat_groups += task.plan->stats.at(task.measure_column).groups.num_groups();
+    for (size_t i = 0; i < stat_tasks.size(); ++i) {
+      if (stats_built[i] == 0) continue;
+      stat_rows += table_rows;
+      stat_groups += stat_tasks[i].plan->stats.at(stat_tasks[i].measure_column)
+                         ->groups.num_groups();
     }
     trace->AddSpan("fit", fit_start, trace->ElapsedSeconds() - fit_start,
                    "hits=" + std::to_string(stats_.fit_cache_hits - cache_hits_before) +
                        " misses=" + std::to_string(stats_.models_trained - trained_before) +
-                       " rows=" + std::to_string(table_rows * stat_tasks.size()) +
+                       " rows=" + std::to_string(stat_rows) +
                        " groups=" + std::to_string(stat_groups));
   }
   const double rank_start = trace != nullptr ? trace->ElapsedSeconds() : 0.0;
@@ -443,6 +459,7 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   // --- Execute stage (c): ranking, one task per (complaint, plan) pair.
   // Every task reads the now-immutable plans; results land by index and are
   // merged in complaint order, so output order is scheduling-independent. ---
+  std::vector<size_t> rank_rows(complaints.size() * plans.size(), 0);
   std::vector<HierarchyRecommendation> cells =
       ParallelMap<HierarchyRecommendation>(
           pool, static_cast<int64_t>(complaints.size() * plans.size()), [&](int64_t i) {
@@ -450,7 +467,7 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
             size_t p = static_cast<size_t>(i) % plans.size();
             return ExecuteComplaint(*plans[p], complaints[c], top_k, extra_stats,
                                     charged_train[static_cast<size_t>(i)],
-                                    /*charge_build=*/c == 0);
+                                    /*charge_build=*/c == 0, &rank_rows[static_cast<size_t>(i)]);
           });
   stats_.complaints_evaluated += static_cast<int64_t>(complaints.size());
 
@@ -470,9 +487,12 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
     out.push_back(std::move(rec));
   }
   if (trace != nullptr) {
-    // Each (complaint, plan) cell's sibling GroupBy reads every table row.
+    // Table rows read by the cells whose filter had to group rows; a cell
+    // that selected its siblings from the group statistics reads none.
+    size_t scanned = 0;
+    for (size_t rows : rank_rows) scanned += rows;
     trace->AddSpan("rank", rank_start, trace->ElapsedSeconds() - rank_start,
-                   "rows=" + std::to_string(table_rows * cells.size()));
+                   "rows=" + std::to_string(scanned));
   }
   if (timing != nullptr) {
     timing->train_seconds = train_seconds_sum;
@@ -484,30 +504,37 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
 
 void Engine::CommitDrillDown(int hierarchy) { drill_state_.Commit(hierarchy); }
 
-std::string Engine::FitCacheKey(const ModelSpec& spec, int hierarchy, int measure_column,
-                                AggFn primitive) const {
-  // Everything a fitted model depends on, given the immutable prepared
-  // dataset the cache hangs off: the feature-registration partition, the
-  // canonical spec (which carries the concrete random-effect policy — the
-  // caller always keys on EffectiveModelSpec), the full committed-depth
-  // vector (every committed hierarchy's tree shapes the feature matrix),
-  // and the fit coordinates. The candidate depth is committed[hierarchy]+1,
-  // so it needs no separate component.
-  std::string key = feature_token_;
-  key += '|';
-  key += spec.CacheKey();
-  key += "|c:";
+std::string Engine::StatsCacheKey(int hierarchy, int measure_column) const {
+  // The full committed-depth vector (every committed hierarchy's columns
+  // are key columns) and the plan coordinates. The candidate depth is
+  // committed[hierarchy]+1, so it needs no separate component.
+  std::string key = "c:";
   for (int h = 0; h < dataset_->num_hierarchies(); ++h) {
     if (h > 0) key += ',';
     key += std::to_string(drill_state_.depth(h));
   }
   key += "|h" + std::to_string(hierarchy);
   key += "|m" + std::to_string(measure_column);
+  return key;
+}
+
+std::string Engine::FitCacheKey(const ModelSpec& spec, int hierarchy, int measure_column,
+                                AggFn primitive) const {
+  // Everything a fitted model depends on, given the immutable prepared
+  // dataset the cache hangs off: the feature-registration partition, the
+  // canonical spec (which carries the concrete random-effect policy — the
+  // caller always keys on EffectiveModelSpec), the group statistics the fit
+  // reads, and the primitive.
+  std::string key = feature_token_;
+  key += '|';
+  key += spec.CacheKey();
+  key += '|';
+  key += StatsCacheKey(hierarchy, measure_column);
   key += "|p";
   key += AggFnName(primitive);
   // Version component last, and only for appended versions (v1's token is
   // empty), so v1 keys — the spelling snapshots persist — stay unchanged.
-  if (!version_token_.empty()) key += "|v:" + version_token_;
+  AppendModelKeyVersion(&key, version_token_);
   return key;
 }
 
@@ -564,9 +591,9 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
   // them below) and their matrix rows. Shared, read-only, across every
   // primitive and concurrent fit.
   auto stats_it = plan.stats.find(measure_column);
-  REPTILE_CHECK(stats_it != plan.stats.end());
-  const GroupByResult& groups = stats_it->second.groups;
-  const std::vector<int64_t>& group_rows = stats_it->second.rows;
+  REPTILE_CHECK(stats_it != plan.stats.end() && stats_it->second != nullptr);
+  const GroupByResult& groups = stats_it->second->groups;
+  const std::vector<int64_t>& group_rows = stats_it->second->rows;
 
   FactorizedMatrix fm;
   for (const FTree* t : ctx.trees) fm.AddTree(t);
@@ -758,8 +785,8 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
 HierarchyRecommendation Engine::ExecuteComplaint(const CandidatePlan& plan,
                                                  const Complaint& complaint, int top_k,
                                                  const std::vector<AggFn>& extra_stats,
-                                                 double charged_train_seconds,
-                                                 bool charge_build) const {
+                                                 double charged_train_seconds, bool charge_build,
+                                                 size_t* rows_scanned) const {
   Timer rank_timer;
   const Table& table = dataset_->table();
   const CandidateContext& ctx = plan.ctx;
@@ -771,44 +798,42 @@ HierarchyRecommendation Engine::ExecuteComplaint(const CandidatePlan& plan,
   rec.model_clusters = plan.layout.num_clusters();
   rec.train_seconds = charged_train_seconds;
 
-  // The complaint tuple's siblings for ranking.
-  GroupByResult siblings =
-      GroupBy(table, ctx.key_columns, complaint.measure_column, complaint.filter);
-
-  std::vector<int64_t> sibling_rows = MatrixRowsOf(plan.layout, ctx, siblings);
+  // The complaint tuple's siblings. A filter on key columns matches whole
+  // groups, so they are selected from the plan's statistics — the same
+  // groups, in the same first-seen order, with the same moments as grouping
+  // the matching rows. Any other filter groups the matching rows.
+  const GroupStats& stats = *plan.stats.at(complaint.measure_column);
+  const GroupByResult* groups = &stats.groups;
+  std::span<const int64_t> group_rows = stats.rows;
+  std::optional<std::vector<size_t>> siblings =
+      SelectGroups(stats.groups, ctx.key_columns, complaint.filter);
+  GroupStats scanned;
+  *rows_scanned = 0;
+  if (!siblings.has_value()) {
+    scanned.groups = GroupBy(table, ctx.key_columns, complaint.measure_column, complaint.filter);
+    scanned.rows = MatrixRowsOf(plan.layout, ctx, scanned.groups);
+    *rows_scanned = table.num_rows();
+    groups = &scanned.groups;
+    group_rows = scanned.rows;
+    siblings.emplace(scanned.groups.num_groups());
+    std::iota(siblings->begin(), siblings->end(), size_t{0});
+  }
 
   // Per primitive statistic: fitted model values, trained by the batch's fit
   // stage and shared read-only by every complaint on this plan.
-  GroupPredictions predictions(siblings.num_groups());
+  std::vector<PrimitiveFit> fits;
   for (AggFn primitive : ComplaintPrimitives(complaint, extra_stats)) {
     auto fit_it = plan.fits.find(std::make_pair(complaint.measure_column, primitive));
     REPTILE_CHECK(fit_it != plan.fits.end() && fit_it->second != nullptr)
         << "primitive model missing from batch fit stage";
-    const std::vector<double>& fitted = fit_it->second->fitted;
-    for (size_t g = 0; g < siblings.num_groups(); ++g) {
-      predictions[g][primitive] = fitted[static_cast<size_t>(sibling_rows[g])];
-    }
+    fits.push_back(PrimitiveFit{primitive, &fit_it->second->fitted});
   }
 
   // Repair each sibling and rank by the repaired complaint value.
-  std::vector<ScoredGroup> ranked = RankGroups(siblings, predictions, complaint);
-  rec.best_score =
-      ranked.empty() ? std::numeric_limits<double>::infinity() : ranked.front().score;
-  int keep = std::min<int>(top_k, static_cast<int>(ranked.size()));
-  for (int i = 0; i < keep; ++i) {
-    const ScoredGroup& sg = ranked[static_cast<size_t>(i)];
-    GroupRecommendation gr;
-    gr.description = FormatGroupKey(table, ctx.key_columns, sg.key);
-    gr.key = sg.key;
-    gr.observed = sg.observed;
-    gr.repaired = sg.repaired;
-    gr.repaired_complaint_value = sg.repaired_complaint_value;
-    gr.score = sg.score;
-    std::optional<size_t> sibling = siblings.Find(sg.key);
-    REPTILE_CHECK(sibling.has_value());
-    gr.predicted = predictions[*sibling];
-    rec.top_groups.push_back(std::move(gr));
-  }
+  RankedGroups ranked = RankGroups(*groups, group_rows, *siblings, fits, complaint, top_k, table,
+                                   ctx.key_columns);
+  rec.best_score = ranked.best_score;
+  rec.top_groups = std::move(ranked.top);
   // total_seconds = this complaint's own ranking work plus its deterministic
   // share of the shared costs (fits it was first to require; the plan build,
   // charged to the batch's first complaint). All three are per-task sums, so

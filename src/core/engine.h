@@ -10,14 +10,17 @@
 //   2. recompute that hierarchy's local decomposed aggregates (multi-query
 //      plan) and update the others in O(1) via the drill-down cache,
 //   3. group the table's rows once per measure (one GroupBy whose groups
-//      are placed at their matrix rows), then build from those groups the
-//      y vector over all parallel groups (empty groups read 0) and the
+//      are placed at their matrix rows, read through the group-statistics
+//      cache so a warm call scans no rows), then build from those groups
+//      the y vector over all parallel groups (empty groups read 0) and the
 //      feature columns for every primitive statistic the complaint
 //      decomposes into,
 //   4. fit one multi-level model per primitive via EM (factorised backend
 //      when all features are single-attribute, dense otherwise),
 //   5. repair every group under the complaint tuple with the model's
-//      expectations and rank by the repaired complaint value.
+//      expectations and rank by the repaired complaint value. When every
+//      filter column is a key column the siblings are selected from the
+//      cached groups; any other filter groups the matching rows.
 //
 // The best hierarchy and its top-K groups are returned; CommitDrillDown
 // advances the session state.
@@ -44,6 +47,7 @@ namespace reptile {
 
 class SharedFittedModelCache;  // factor/model_cache.h
 struct FittedModel;            // factor/model_cache.h
+class GroupStatsCache;         // factor/group_stats_cache.h
 class TraceContext;            // obs/trace.h
 
 /// A registered auxiliary dataset (Section 3.3.2 / Appendix H): joined on one
@@ -111,17 +115,6 @@ struct BatchTiming {
   int em_iterations_run = 0;
 };
 
-/// One recommended drill-down group.
-struct GroupRecommendation {
-  std::string description;          // "year=1986, village=Zata"
-  std::vector<int32_t> key;         // codes over the drill key columns
-  Moments observed;
-  Moments repaired;
-  std::map<AggFn, double> predicted;  // per primitive statistic
-  double repaired_complaint_value = 0.0;
-  double score = 0.0;
-};
-
 /// Result of evaluating one candidate hierarchy.
 struct HierarchyRecommendation {
   int hierarchy = -1;
@@ -178,18 +171,19 @@ struct EngineStats {
 ///              fit once between them — then per complaint rank its sibling
 ///              groups.
 ///
-/// Within one RecommendBatch call, plan assembly, model fits, and complaint
-/// rankings are independent tasks dispatched over a fixed-size worker pool
-/// (EngineOptions::num_threads / BatchOverrides::num_threads); every task is
-/// single-threaded internally and all inputs it shares (dataset, f-trees,
-/// local aggregates, the plan's group statistics) are immutable by the time
-/// it runs, so output is deterministic and element-wise identical to the
-/// sequential path.
+/// Within one RecommendBatch call, plan assembly, group statistics, model
+/// fits, and complaint rankings are independent tasks dispatched over a
+/// fixed-size worker pool (EngineOptions::num_threads /
+/// BatchOverrides::num_threads); every task is single-threaded internally and
+/// all inputs it shares (dataset, f-trees, local aggregates, the plan's group
+/// statistics) are immutable by the time it runs, so output is deterministic
+/// and element-wise identical to the sequential path.
 class Engine {
  public:
   /// Borrowing constructor: the engine reads `dataset` (caller keeps it
-  /// alive) and owns a private drill-down cache — the pre-registry behavior,
-  /// used by benchmarks and tests that drive one engine over one dataset.
+  /// alive) and owns a private drill-down cache and group-statistics cache —
+  /// the pre-registry behavior, used by benchmarks and tests that drive one
+  /// engine over one dataset.
   explicit Engine(const Dataset* dataset, EngineOptions options = EngineOptions());
 
   /// Shared constructor: the engine reads/fills the cross-session caches, so
@@ -201,6 +195,10 @@ class Engine {
   /// kStatic/kDynamic modes fall back to a private cache — their eviction is
   /// the point of those policies); the model cache is consulted whenever the
   /// effective ModelSpec has fit_cache on. Either cache may be null.
+  /// `stats_cache` holds the dataset's group statistics (one statistics
+  /// pass per committed depths, candidate hierarchy and measure); it must
+  /// belong to `dataset` alone — no other version's — and when null the
+  /// engine owns one.
   ///
   /// Version plumbing (incremental dataset versions, api/registry.h):
   /// `epochs` (borrowed via owner; nullptr = all-1s, the unversioned
@@ -210,8 +208,8 @@ class Engine {
   /// statistics include the new rows, so its fits must never collide with
   /// its ancestors' in the shared cache the whole chain reads.
   Engine(const Dataset* dataset, SharedAggregateCache* shared_cache,
-         SharedFittedModelCache* model_cache, std::shared_ptr<const void> owner,
-         EngineOptions options = EngineOptions(),
+         SharedFittedModelCache* model_cache, GroupStatsCache* stats_cache,
+         std::shared_ptr<const void> owner, EngineOptions options = EngineOptions(),
          const AggregateEpochs* epochs = nullptr,
          std::string version_token = std::string());
 
@@ -299,11 +297,17 @@ class Engine {
   FittedModel FitPrimitive(const CandidatePlan& plan, int measure_column, AggFn primitive,
                            const ModelSpec& spec) const;
 
+  /// Group-statistics cache key of the plan drilling `hierarchy` over
+  /// `measure_column`: "c:<every hierarchy's committed depth>|h<hierarchy>
+  /// |m<measure>". Everything one statistics pass is a function of, given
+  /// the dataset version the cache belongs to; FitCacheKey embeds it.
+  std::string StatsCacheKey(int hierarchy, int measure_column) const;
+
   /// Shared fitted-model cache key for one (plan, measure, primitive) fit
   /// under `spec`: the feature-registration token, random-effect policy,
-  /// canonical spec, every hierarchy's committed depth, and the fit
-  /// coordinates. Everything a fitted model is a function of, given the
-  /// immutable prepared dataset.
+  /// canonical spec, the statistics the fit reads (StatsCacheKey), the
+  /// primitive, and the dataset version. Everything a fitted model is a
+  /// function of, given the immutable prepared dataset.
   std::string FitCacheKey(const ModelSpec& spec, int hierarchy, int measure_column,
                           AggFn primitive) const;
 
@@ -316,18 +320,23 @@ class Engine {
 
   /// Execute stage, ranking half: scores one complaint's sibling groups
   /// against the plan's trained models (all fits are already in the plan).
+  /// The siblings are selected from the plan's group statistics when every
+  /// filter column is a key column; otherwise the matching rows are grouped
+  /// and `*rows_scanned` says how many table rows that read (else 0).
   /// `extra_stats` is the batch-effective extra-repair list (per-call
   /// override or the engine option); `charged_train_seconds` / `charge_build`
   /// carry the deterministic cost attribution computed by RecommendBatch.
   HierarchyRecommendation ExecuteComplaint(const CandidatePlan& plan,
                                            const Complaint& complaint, int top_k,
                                            const std::vector<AggFn>& extra_stats,
-                                           double charged_train_seconds,
-                                           bool charge_build) const;
+                                           double charged_train_seconds, bool charge_build,
+                                           size_t* rows_scanned) const;
 
   std::shared_ptr<const void> owner_;  // may be null; keeps dataset_ alive
   const Dataset* dataset_;
   SharedFittedModelCache* model_cache_;  // borrowed via owner_; may be null
+  std::unique_ptr<GroupStatsCache> own_stats_cache_;  // when none was given
+  GroupStatsCache* stats_cache_;  // borrowed via owner_, or own_stats_cache_
   EngineOptions options_;
   DrillDownState drill_state_;
   // Fitted-model cache key partition for this engine's feature

@@ -1,6 +1,7 @@
 #include "core/repair.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.h"
@@ -28,11 +29,28 @@ std::vector<AggFn> RequiredPrimitives(AggFn agg) {
 }
 
 Moments ApplyRepair(const Moments& observed, const std::map<AggFn, double>& predicted) {
+  std::array<AggFn, 5> primitives{};  // one slot per AggFn value
+  std::array<double, 5> values{};
+  REPTILE_CHECK_LE(predicted.size(), primitives.size());
+  size_t n = 0;
+  for (const auto& [fn, value] : predicted) {
+    primitives[n] = fn;
+    values[n] = value;
+    ++n;
+  }
+  return ApplyRepair(observed, std::span<const AggFn>(primitives.data(), n),
+                     std::span<const double>(values.data(), n));
+}
+
+Moments ApplyRepair(const Moments& observed, std::span<const AggFn> primitives,
+                    std::span<const double> predicted) {
+  REPTILE_CHECK_EQ(primitives.size(), predicted.size());
   double count = observed.count;
   double mean = observed.Mean();
   double std = observed.SampleStd();
-  for (const auto& [fn, value] : predicted) {
-    switch (fn) {
+  for (size_t i = 0; i < primitives.size(); ++i) {
+    const double value = predicted[i];
+    switch (primitives[i]) {
       case AggFn::kCount:
         count = std::max(0.0, value);
         break;

@@ -10,6 +10,7 @@
 #define REPTILE_CORE_REPAIR_H_
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "agg/aggregates.h"
@@ -27,6 +28,12 @@ std::vector<AggFn> RequiredPrimitives(AggFn agg);
 /// sketch and substitutes each predicted primitive (predictions are clamped
 /// to their domains: COUNT >= 0, STD >= 0).
 Moments ApplyRepair(const Moments& observed, const std::map<AggFn, double>& predicted);
+
+/// The same repair over parallel arrays: `predicted[i]` is the prediction
+/// of `primitives[i]`, substituted in the order given (the map overload
+/// applies its entries in AggFn order through this one).
+Moments ApplyRepair(const Moments& observed, std::span<const AggFn> primitives,
+                    std::span<const double> predicted);
 
 }  // namespace reptile
 

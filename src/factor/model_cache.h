@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,30 @@ using FittedModelPtr = std::shared_ptr<const FittedModel>;
 inline size_t ApproxFittedModelBytes(const std::string& key, const FittedModel& model) {
   return sizeof(FittedModel) + model.fitted.capacity() * sizeof(double) + key.capacity() +
          64;  // map/list node overhead
+}
+
+/// A fitted-model cache key names the dataset version it was fitted on.
+/// The cache is shared along a version chain, so version 1's keys carry no
+/// version component (the spelling snapshots persist) and version K's end
+/// in "|v:K". `version_token` is PreparedDataset::version_token(): "" for
+/// version 1, "K" otherwise. Appends that component to `key`.
+inline void AppendModelKeyVersion(std::string* key, const std::string& version_token) {
+  if (!version_token.empty()) *key += "|v:" + version_token;
+}
+
+/// The length of `key` without its version component when the key belongs
+/// to `version_token`'s version; std::nullopt when it belongs to another.
+inline std::optional<size_t> VersionlessModelKeyLength(const std::string& key,
+                                                      const std::string& version_token) {
+  const size_t v = key.rfind("|v:");
+  if (version_token.empty()) {
+    if (v != std::string::npos) return std::nullopt;
+    return key.size();
+  }
+  if (v == std::string::npos || key.compare(v + 3, std::string::npos, version_token) != 0) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 /// A class rather than an alias so api/registry.h can forward-declare it.

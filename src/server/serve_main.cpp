@@ -44,9 +44,10 @@
 //                         byte-identical to the process that wrote the
 //                         snapshot, with zero builds and zero fits
 //   --cache-budget-mb N   per-dataset cache memory target in MiB, split
-//                         between the shared aggregate cache and the
-//                         fitted-model cache; past it, least-recently-used
-//                         entries are evicted (default 0 = unlimited)
+//                         evenly between the shared aggregate cache, the
+//                         fitted-model cache and the group-statistics
+//                         cache; past it, least-recently-used entries are
+//                         evicted (default 0 = unlimited)
 //   --max-requests-per-connection N
 //                         close a keep-alive connection (with
 //                         "Connection: close") after N responses

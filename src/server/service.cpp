@@ -599,10 +599,12 @@ void ReptileService::RegisterSeries() {
                              "Sessions evicted by the idle TTL", MetricType::kCounter,
                              [this] { return sessions_evicted_.load(); });
 
-  // Both shared caches' counters, summed over every live dataset. Each
-  // dataset's counters are monotonic, but deleting a dataset drops its
+  // The three caches' counters, summed over every live dataset's head
+  // version. Each dataset's counters are monotonic, but deleting a dataset
+  // (or appending, for the per-version group-statistics cache) drops its
   // contribution, so the sums are gauges. A healthy warm deployment shows
-  // model-cache hits climbing while fits stay flat.
+  // model-cache and group-statistics hits climbing while fits and
+  // statistics misses stay flat.
   static constexpr std::pair<const char*, int64_t (PreparedDataset::*)() const> kCacheSums[] = {
       {"aggregate_cache_entries", &PreparedDataset::cache_entries},
       {"aggregate_cache_hits", &PreparedDataset::cache_hits},
@@ -615,6 +617,11 @@ void ReptileService::RegisterSeries() {
       {"model_cache_fits", &PreparedDataset::model_cache_fits},
       {"model_cache_bytes", &PreparedDataset::model_cache_bytes},
       {"model_cache_evictions", &PreparedDataset::model_cache_evictions},
+      {"group_stats_cache_entries", &PreparedDataset::group_stats_cache_entries},
+      {"group_stats_cache_hits", &PreparedDataset::group_stats_cache_hits},
+      {"group_stats_cache_misses", &PreparedDataset::group_stats_cache_misses},
+      {"group_stats_cache_bytes", &PreparedDataset::group_stats_cache_bytes},
+      {"group_stats_cache_evictions", &PreparedDataset::group_stats_cache_evictions},
   };
   for (const auto& [name, read] : kCacheSums) {
     metrics_->RegisterCallback(
@@ -1509,8 +1516,8 @@ Result<std::string> ReptileService::AppendToDataset(const std::string& name,
   if (!appended.ok()) return appended.status();
   const DatasetHandle& child = appended->child;
   if (options_.cache_budget_bytes > 0) {
-    // The shared caches carry the parent's budget already; this keeps the
-    // child's view consistent if the service options changed since.
+    // The shared caches carry the parent's budget already; the child's own
+    // group-statistics cache starts unbudgeted and needs its share.
     child->SetCacheBudgetBytes(options_.cache_budget_bytes);
   }
 

@@ -139,9 +139,9 @@ struct ServiceOptions {
   // logger's per-request debug line. 0 (the default) disables the check.
   double slow_request_ms = 0.0;
 
-  // Total cache memory target per dataset, in bytes, split between the
-  // dataset's shared aggregate cache and its fitted-model cache (see
-  // PreparedDataset::SetCacheBudgetBytes). Applied to every dataset the
+  // Total cache memory target per dataset, in bytes, split evenly between
+  // the dataset's shared aggregate cache, its fitted-model cache and its
+  // group-statistics cache (see PreparedDataset::SetCacheBudgetBytes). Applied to every dataset the
   // service installs (startup loads, uploads, snapshot restores). Past the
   // budget the caches evict least-recently-used entries; in-flight holders
   // keep evicted entries alive via their shared_ptr. 0 = unlimited.

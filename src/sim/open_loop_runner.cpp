@@ -228,11 +228,17 @@ ScenarioReport RunOpenLoop(const RunnerOptions& options, const WorkloadOracle& o
 
   // Setup traffic (dataset upload) runs closed-loop on a short-lived client
   // — scoped so its connection never pins a server thread during the replay
-  // — and is not part of the measured schedule.
+  // — and is not part of the measured schedule. A server with a tight queue
+  // deadline can shed even this first request (a 503 whose answer asks the
+  // client to retry), so a shed upload is retried a few times.
   Result<HttpClientResponse> uploaded = [&] {
     HttpClient setup(options.host, options.port);
     setup.SetTimeoutMs(options.timeout_ms);
-    return setup.Post("/v1/datasets", oracle.upload_body());
+    Result<HttpClientResponse> response = setup.Post("/v1/datasets", oracle.upload_body());
+    for (int retry = 0; retry < 3 && response.ok() && response->status == 503; ++retry) {
+      response = setup.Post("/v1/datasets", oracle.upload_body());
+    }
+    return response;
   }();
   if (!uploaded.ok() || uploaded->status != 201) {
     std::fprintf(stderr, "workload dataset upload failed: %s\n",

@@ -450,6 +450,11 @@ TEST(NetMetricsTest, ServedFamiliesAndTypesArePinned) {
       {"reptile_dataset_head_version", "gauge"},
       {"reptile_dataset_versions", "gauge"},
       {"reptile_datasets", "gauge"},
+      {"reptile_group_stats_cache_bytes", "gauge"},
+      {"reptile_group_stats_cache_entries", "gauge"},
+      {"reptile_group_stats_cache_evictions", "gauge"},
+      {"reptile_group_stats_cache_hits", "gauge"},
+      {"reptile_group_stats_cache_misses", "gauge"},
       {"reptile_http_request_duration_seconds", "histogram"},
       {"reptile_http_requests_total", "counter"},
       {"reptile_model_cache_bytes", "gauge"},
@@ -493,7 +498,7 @@ TEST(NetMetricsTest, HealthzEmbedsExactlyTheMetricszFamilies) {
   for (const auto& [name, series] : embedded->object_items()) healthz_families.insert(name);
   for (const auto& [name, type] : PromFamilies(metrics->body)) metricsz_families.insert(name);
   EXPECT_EQ(healthz_families, metricsz_families);
-  EXPECT_EQ(healthz_families.size(), 30u);
+  EXPECT_EQ(healthz_families.size(), 35u);
   for (const char* family : {"reptile_datasets", "reptile_sessions", "reptile_versions_gc_total",
                              "reptile_transport_open_connections"}) {
     EXPECT_NE(metrics->body.find("\n" + std::string(family) + " " +

@@ -335,10 +335,10 @@ TEST(ObsTrace, ZeroDurationsZeroesEveryDur) {
 }
 
 // The engine's stage spans carry work counts: plans built, the fit stage's
-// cache outcome plus the rows and non-empty groups of its one statistics
-// pass per (plan, measure), and the rows the rank stage's sibling GroupBys
-// read. Server-Timing renders each detail as a quoted desc, so none may
-// hold a comma.
+// cache outcome plus the rows and non-empty groups of the statistics passes
+// it ran (a group-statistics cache hit runs none), and the rows the rank
+// stage's fallback sibling GroupBys read. Server-Timing renders each detail
+// as a quoted desc, so none may hold a comma.
 TEST(ObsTrace, RecommendSpanDetailsCountTheWork) {
   PanelSpec spec;
   spec.districts = 4;
@@ -360,14 +360,16 @@ TEST(ObsTrace, RecommendSpanDetailsCountTheWork) {
   };
   // Two plans (geo at district, time at year), one measure: two passes of
   // 180 rows making 4 + 5 groups; std fits count, mean and std per plan.
-  // Ranking groups the 180 rows once per (complaint, plan).
+  // The year filter is a key column of the time plan, whose siblings are
+  // selected from its groups; the geo plan's key is district only, so its
+  // ranking groups the 180 rows.
   EXPECT_EQ(details(), (std::vector<std::string>{"validate:", "plan:plans=2",
                                                  "fit:hits=0 misses=6 rows=360 groups=9",
-                                                 "rank:rows=360"}));
-  // Warm: every fit is a cache hit, and the statistics pass still runs.
+                                                 "rank:rows=180"}));
+  // Warm: every fit and both statistics passes are cache hits.
   EXPECT_EQ(details(), (std::vector<std::string>{"validate:", "plan:plans=2",
-                                                 "fit:hits=6 misses=0 rows=360 groups=9",
-                                                 "rank:rows=360"}));
+                                                 "fit:hits=6 misses=0 rows=0 groups=0",
+                                                 "rank:rows=180"}));
 }
 
 // AddSpan is advertised thread-safe: hammer it and check nothing is lost.

@@ -134,18 +134,28 @@ TEST_P(RankerIdentityTest, IdentityRepairLeavesComplaintUnchanged) {
   Moments total;
   for (size_t g = 0; g < siblings.num_groups(); ++g) total.Add(siblings.stats(g));
 
+  // Each group's matrix row is its own index.
+  const size_t n = siblings.num_groups();
+  std::vector<int64_t> rows(n);
+  std::vector<size_t> all(n);
+  std::vector<double> count(n), mean(n), std(n);
+  for (size_t g = 0; g < n; ++g) {
+    rows[g] = static_cast<int64_t>(g);
+    all[g] = g;
+    const Moments& obs = siblings.stats(g);
+    count[g] = obs.count;
+    mean[g] = obs.Mean();
+    std[g] = obs.SampleStd();
+  }
+  const std::vector<PrimitiveFit> fits = {
+      {AggFn::kCount, &count}, {AggFn::kMean, &mean}, {AggFn::kStd, &std}};
   for (AggFn agg : {AggFn::kCount, AggFn::kMean, AggFn::kSum, AggFn::kStd}) {
     Complaint complaint = Complaint::TooHigh(agg, m_col, RowFilter());
-    GroupPredictions predictions(siblings.num_groups());
-    for (size_t g = 0; g < siblings.num_groups(); ++g) {
-      const Moments& obs = siblings.stats(g);
-      predictions[g][AggFn::kCount] = obs.count;
-      predictions[g][AggFn::kMean] = obs.Mean();
-      predictions[g][AggFn::kStd] = obs.SampleStd();
-    }
-    std::vector<ScoredGroup> ranked = RankGroups(siblings, predictions, complaint);
-    for (const ScoredGroup& sg : ranked) {
-      EXPECT_NEAR(sg.repaired_complaint_value, total.Value(agg), 1e-6)
+    RankedGroups ranked =
+        RankGroups(siblings, rows, all, fits, complaint, static_cast<int>(n), t, {g_col});
+    ASSERT_EQ(ranked.top.size(), n);
+    for (const GroupRecommendation& group : ranked.top) {
+      EXPECT_NEAR(group.repaired_complaint_value, total.Value(agg), 1e-6)
           << AggFnName(agg) << " identity repair moved the complaint";
     }
   }

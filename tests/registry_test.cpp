@@ -314,6 +314,9 @@ TEST(DatasetRegistry, ConcurrentSessionLifecycleOverOneDataset) {
   for (int64_t session_builds : builds) total_builds += session_builds;
   EXPECT_EQ(total_builds, cache.entries());
   EXPECT_EQ(cache.misses(), cache.entries());
+  // The group-statistics cache likewise ran each statistics pass once.
+  EXPECT_GT((*handle)->group_stats_cache_entries(), 0);
+  EXPECT_EQ((*handle)->group_stats_cache_misses(), (*handle)->group_stats_cache_entries());
 }
 
 }  // namespace

@@ -1224,7 +1224,7 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
 
 // The warm-path acceptance criterion over the wire: the same request served
 // cold and cache-warm returns byte-identical bodies under zero_timings, and
-// /healthz exposes the cache traffic.
+// /healthz exposes the cache traffic — fitted models and group statistics.
 TEST_F(ServerTest, WarmCacheResponsesByteIdenticalAndObservable) {
   HttpClient client = Client();
   const std::string body = PanelBatchBody();
@@ -1241,6 +1241,9 @@ TEST_F(ServerTest, WarmCacheResponsesByteIdenticalAndObservable) {
   EXPECT_EQ(testutil::HealthzMetric(cold_health, "reptile_model_cache_entries"),
             fits_after_cold);
   EXPECT_GT(testutil::HealthzMetric(cold_health, "reptile_aggregate_cache_entries"), 0);
+  const int64_t stats_hits_after_cold =
+      testutil::HealthzMetric(cold_health, "reptile_group_stats_cache_hits");
+  EXPECT_GT(testutil::HealthzMetric(cold_health, "reptile_group_stats_cache_entries"), 0);
 
   // Same request again: warm — zero new fits, hits instead, identical bytes.
   Result<HttpClientResponse> warm = client.Post("/v1/recommend_batch", body);
@@ -1252,6 +1255,8 @@ TEST_F(ServerTest, WarmCacheResponsesByteIdenticalAndObservable) {
   const std::string& warm_health = health_after_warm->body;
   EXPECT_EQ(testutil::HealthzMetric(warm_health, "reptile_model_cache_fits"), fits_after_cold);
   EXPECT_EQ(testutil::HealthzMetric(warm_health, "reptile_model_cache_hits"), fits_after_cold);
+  EXPECT_GT(testutil::HealthzMetric(warm_health, "reptile_group_stats_cache_hits"),
+            stats_hits_after_cold);
 
   // A per-client session over the same dataset is warm from its first call.
   Result<HttpClientResponse> created =

@@ -317,10 +317,10 @@ TEST(DatasetSnapshot, EvictionUnderBudgetKeepsSessionsCorrect) {
       reference->RecommendAll(std::span<const ComplaintSpec>(complaints));
   ASSERT_TRUE(expected.ok());
 
-  // A budget strictly below the warmed working set, so BOTH caches are over
-  // their halves and must evict (sized from the actual workload rather than
-  // a constant, which would silently stop applying pressure if the test
-  // panel shrank).
+  // A budget strictly below the warmed working set, so BOTH the aggregate
+  // and the model cache are over their thirds and must evict (sized from
+  // the actual workload rather than a constant, which would silently stop
+  // applying pressure if the test panel shrank).
   const size_t agg_warmed = static_cast<size_t>((*handle)->cache_bytes());
   const size_t model_warmed = static_cast<size_t>((*handle)->model_cache_bytes());
   ASSERT_GT(agg_warmed, 0u);
@@ -335,8 +335,8 @@ TEST(DatasetSnapshot, EvictionUnderBudgetKeepsSessionsCorrect) {
         session->RecommendAll(std::span<const ComplaintSpec>(complaints));
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     EXPECT_EQ(TimelessBatchJson(*batch), TimelessBatchJson(*expected));
-    EXPECT_LE(static_cast<size_t>((*handle)->cache_bytes() +
-                                  (*handle)->model_cache_bytes()),
+    EXPECT_LE(static_cast<size_t>((*handle)->cache_bytes() + (*handle)->model_cache_bytes() +
+                                  (*handle)->group_stats_cache_bytes()),
               budget);
   }
   // Both caches started over their halves of the budget, so each must have

@@ -333,6 +333,51 @@ TEST(AppendRowsCsv, ChainMatchesColdRebuildByteForByte) {
   }
 }
 
+// Group statistics belong to one dataset version. Rows appended under
+// existing paths dirty no f-tree (invalidated_entries == 0), yet they change
+// group moments, so the child must read none of the statistics its parent
+// cached — neither through a chain-shared cache nor under keys that carry
+// the (unchanged) aggregate epochs — and must answer like a cold rebuild at
+// every depth the parent was warmed at.
+TEST(AppendRowsCsv, GroupStatisticsBelongToOneVersion) {
+  Result<DatasetHandle> v1 = PreparedDataset::Prepare(MakePanel());
+  ASSERT_TRUE(v1.ok());
+  Result<Session> warm = Session::Open(*v1);
+  ASSERT_TRUE(warm.ok());
+  for (const char* hierarchy : {"time", "geo"}) {
+    ASSERT_TRUE(warm->Commit(hierarchy).ok());
+    for (int y = 0; y < 4; ++y) ASSERT_TRUE(warm->Recommend(YearComplaint(y)).ok());
+  }
+  EXPECT_GT((*v1)->group_stats_cache_entries(), 0);
+
+  const std::string delta =
+      "district,village,year,severity\n"
+      "d0,d0_v0,y0,50.5\n"
+      "d1,d1_v1,y1,0.25\n"
+      "d2,d2_v2,y2,40.75\n"
+      "d3,d3_v0,y3,12.125\n";
+  Result<AppendResult> appended = AppendRowsCsv(*v1, delta);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(appended->invalidated_entries, 0);
+  EXPECT_EQ(appended->child->group_stats_cache_entries(), 0);
+
+  DatasetHandle cold = PrepareFromCsv(RenderTableCsv((*v1)->table()) + DataRows(delta));
+  Result<Session> child = Session::Open(appended->child);
+  Result<Session> rebuilt = Session::Open(cold);
+  ASSERT_TRUE(child.ok() && rebuilt.ok());
+  for (const char* hierarchy : {"time", "geo"}) {
+    ASSERT_TRUE(child->Commit(hierarchy).ok() && rebuilt->Commit(hierarchy).ok());
+    for (int y = 0; y < 4; ++y) {
+      Result<ExploreResponse> a = child->Recommend(YearComplaint(y));
+      Result<ExploreResponse> b = rebuilt->Recommend(YearComplaint(y));
+      ASSERT_TRUE(a.ok() && b.ok()) << a.status().ToString() << b.status().ToString();
+      EXPECT_EQ(TimelessJson(*a), TimelessJson(*b))
+          << "the child diverged from its cold rebuild with " << hierarchy
+          << " committed, year " << y;
+    }
+  }
+}
+
 // Pinned-session isolation: sessions opened over the parent before an append
 // keep answering the same bytes, from fully warm caches — the append flushed
 // nothing they read.
@@ -525,6 +570,38 @@ TEST(DatasetRegistry, VersionChainsResolveAppendAndRetire) {
   EXPECT_EQ(registry.Find("panel@v2").status().code(), StatusCode::kNotFound);
   // The removed head stays alive through the handle the append returned.
   EXPECT_EQ(appended->child->table().num_rows(), 4u * 3u * 4u * 3u + 1u);
+}
+
+// A retired version takes its fitted models with it. Version GC drops a
+// version's handle, and the model cache is shared along the chain, so the
+// keys only that version could read (Engine::FitCacheKey's version
+// component) are erased when it is destroyed; otherwise every append would
+// leave one more version's fits resident for good. Each round: one std
+// recommend on the head (one plan, three primitives), then an append that
+// retires it.
+TEST(DatasetRegistry, RetiredVersionsTakeTheirFittedModelsWithThem) {
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Add("panel", MakePanel()).ok());
+  for (int round = 1; round <= 5; ++round) {
+    Result<DatasetHandle> head = registry.Find("panel");
+    ASSERT_TRUE(head.ok());
+    {
+      Result<Session> session = Session::Open(*head);
+      ASSERT_TRUE(session.ok() && session->Commit("time").ok());
+      ASSERT_TRUE(session->Recommend(YearComplaint(1)).ok());
+    }
+    EXPECT_EQ((*head)->model_cache_entries(), 3) << "round " << round;
+    Result<AppendResult> appended = AppendRowsCsv(
+        *head, "district,village,year,severity\nd0,d0_v0,y0," + std::to_string(round) + ".5\n");
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    head = Status::NotFound("dropped");  // only the chain holds the parent now
+    Result<int64_t> retired =
+        registry.AppendVersion("panel", appended->child, appended->invalidated_entries);
+    ASSERT_TRUE(retired.ok()) << retired.status().ToString();
+    EXPECT_EQ(*retired, 1);
+    EXPECT_EQ(appended->child->model_cache_entries(), 0) << "round " << round;
+  }
+  EXPECT_EQ(registry.versions_gc(), 5);
 }
 
 // The TSan half: readers pinned to v1 validate bytes against a golden while
